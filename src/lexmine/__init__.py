@@ -44,7 +44,6 @@ from .metrics import (
     corpus_stats,
     judgment_summary,
     pearson,
-    raw_copy_baseline,
     rouge1_f1,
 )
 from .mining import (
@@ -64,7 +63,6 @@ from .mining import (
 from .textproc import (
     Sentence,
     is_punctuation,
-    join_tokens,
     ngrams,
     normalize,
     split_sentences,
@@ -74,8 +72,6 @@ from .textproc import (
 from .w2w import (
     OovSummary,
     TranslationResult,
-    translate_corpus,
-    translate_sentence,
     translate_text,
     translate_tokens,
 )
@@ -84,17 +80,17 @@ __all__ = [
     "__version__",
     "LexmineError", "InputError", "ParseError", "ConfigError",
     "DivergenceError", "UndefinedStatisticError",
-    "Sentence", "tokenize", "join_tokens", "normalize", "split_sentences",
+    "Sentence", "tokenize", "normalize", "split_sentences",
     "ngrams", "truncate", "is_punctuation",
     "BilingualDictionary", "DictEntry", "Lexicon",
     "parse_dictionary", "load_dictionary", "save_dictionary", "load_lexicon",
     "filter_by_lexicon", "invert", "identity_ratio", "dictionary_stats",
     "TranslationResult", "OovSummary",
-    "translate_tokens", "translate_sentence", "translate_text", "translate_corpus",
+    "translate_tokens", "translate_text",
     "Document", "AlignedPair", "MiningConfig", "MiningStats",
     "normalize_title", "align_documents", "align_sentences",
     "diversity_filter", "mine", "read_documents", "read_corpus", "write_corpus",
     "RougeScore", "BleuReport", "JudgmentSummary", "CorpusStats",
-    "rouge1_f1", "bleu", "raw_copy_baseline", "pearson", "judgment_summary",
+    "rouge1_f1", "bleu", "pearson", "judgment_summary",
     "corpus_stats",
 ]

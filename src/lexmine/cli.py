@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import multiprocessing
 import sys
 import time
 
@@ -27,15 +26,14 @@ from .dictionary import (
     save_dictionary,
 )
 from .errors import ConfigError, InputError, LexmineError, ParseError
-from .manifest import RunManifest, atomic_write_json, atomic_write_text, manifest_path_for
-from .metrics import (
-    bleu,
-    bleu_from_counts,
-    bleu_segment_counts,
-    corpus_stats,
-    judgment_summary,
-    rouge1_f1,
+from .manifest import (
+    RunManifest,
+    atomic_write_json,
+    atomic_write_text,
+    manifest_path_for,
+    read_lines,
 )
+from .metrics import bleu, corpus_stats, judgment_summary, rouge1_f1
 from .mining import (
     MiningConfig,
     align_documents,
@@ -75,20 +73,15 @@ def _conv_ints(raw: str) -> tuple[int, ...]:
 
 def _read_config_file(path) -> dict[str, str]:
     """key=value lines; '#' comments and blank lines are skipped."""
-    try:
-        handle = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
     settings: dict[str, str] = {}
-    with handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(path, line_no, f"expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            settings[key.strip()] = value.strip()
+    for line_no, raw in enumerate(read_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError(path, line_no, f"expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        settings[key.strip()] = value.strip()
     return settings
 
 
@@ -120,46 +113,39 @@ def _parse_direction(raw: str) -> tuple[str, str]:
     return (parts[0].strip(), parts[1].strip())
 
 
-def _manifest_target(args, out_path=None) -> str:
-    if args.manifest:
-        return args.manifest
-    target = out_path if out_path is not None else getattr(args, "out", None)
-    if target:
-        return manifest_path_for(target)
-    return f"{PROG}-{args.slug}.manifest.json"
+def _finish(args, config: dict, inputs, counts: dict, outputs, *,
+            seed: int | None = None) -> int:
+    """Every command's epilogue: write the run manifest and its timing sidecar.
 
-
-def _new_manifest(args, config: dict, inputs, counts: dict, outputs,
-                  seed: int | None = None, timing: dict | None = None) -> RunManifest:
-    manifest = RunManifest(command=args.slug.replace("-", " "), version=__version__,
-                           config=config, seed=seed)
-    for path in inputs:
+    The manifest goes to --manifest, else next to --out, else to
+    `lexmine-<command>.manifest.json` in the working directory. Unset
+    (None) inputs and outputs are skipped; the --config file counts as an
+    input. Returns the command's exit status, 0.
+    """
+    manifest = RunManifest(
+        command=args.slug.replace("-", " "), version=__version__, config=config,
+        seed=seed, counts=counts, outputs=[str(p) for p in outputs if p],
+        timing={"total_s": round(time.perf_counter() - args.started, 6)})
+    for path in [*inputs, args.config]:
         if path:
             manifest.add_input(path)
-    if args.config:
-        manifest.add_input(args.config)
-    manifest.counts = counts
-    manifest.outputs = [str(p) for p in outputs if p]
-    manifest.timing = timing or {}
-    return manifest
+    if args.manifest:
+        target = args.manifest
+    elif args.out:
+        target = manifest_path_for(args.out)
+    else:
+        target = f"{PROG}-{args.slug}.manifest.json"
+    manifest.write(target)
+    return 0
 
 
-def _read_lines(path) -> list[str]:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return [line.rstrip("\n") for line in handle]
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
-
-
-def _emit_report(args, payload: dict, summary_line: str) -> str | None:
+def _emit_report(args, payload: dict, summary_line: str) -> None:
     """Report goes to --out as JSON when given, else to stdout."""
     if args.out:
         atomic_write_json(args.out, payload)
         print(summary_line)
-        return args.out
-    print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
-    return None
+    else:
+        print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
 
 
 # -- dict ----------------------------------------------------------------------
@@ -167,62 +153,44 @@ def _emit_report(args, payload: dict, summary_line: str) -> str | None:
 def _cmd_dict_build(args) -> int:
     cfg = _resolve(args, [("direction", "src:tgt", str)])
     direction = _parse_direction(cfg["direction"])
-    started = time.perf_counter()
     dictionary = load_dictionary(args.in_path, direction)
     buf = io.StringIO()
     save_dictionary(dictionary, buf)
     atomic_write_text(args.out, buf.getvalue())
-    manifest = _new_manifest(
-        args, {"direction": list(direction)}, [args.in_path],
-        {"entries": len(dictionary)}, [args.out],
-        timing={"total_s": round(time.perf_counter() - started, 6)})
-    manifest.write(_manifest_target(args))
     print(f"wrote {len(dictionary)} entries to {args.out}", file=sys.stderr)
-    return 0
+    return _finish(args, {"direction": list(direction)}, [args.in_path],
+                   {"entries": len(dictionary)}, [args.out])
 
 
 def _cmd_dict_filter(args) -> int:
-    started = time.perf_counter()
     dictionary = load_dictionary(args.dict)
     lexicon = load_lexicon(args.lexicon)
     filtered = filter_by_lexicon(dictionary, lexicon)
     buf = io.StringIO()
     save_dictionary(filtered, buf)
     atomic_write_text(args.out, buf.getvalue())
-    manifest = _new_manifest(
-        args, {"lexicon": str(args.lexicon)}, [args.dict, args.lexicon],
-        {"entries_before": len(dictionary), "entries_after": len(filtered),
-         "lexicon_words": len(lexicon)},
-        [args.out], timing={"total_s": round(time.perf_counter() - started, 6)})
-    manifest.write(_manifest_target(args))
     print(f"kept {len(filtered)} of {len(dictionary)} entries", file=sys.stderr)
-    return 0
+    return _finish(args, {"lexicon": str(args.lexicon)}, [args.dict, args.lexicon],
+                   {"entries_before": len(dictionary), "entries_after": len(filtered),
+                    "lexicon_words": len(lexicon)}, [args.out])
 
 
 def _cmd_dict_invert(args) -> int:
-    started = time.perf_counter()
     dictionary = load_dictionary(args.dict)
     inverted = invert(dictionary)
     buf = io.StringIO()
     save_dictionary(inverted, buf)
     atomic_write_text(args.out, buf.getvalue())
-    manifest = _new_manifest(
-        args, {"direction": list(inverted.direction)}, [args.dict],
-        {"entries_before": len(dictionary), "entries_after": len(inverted)},
-        [args.out], timing={"total_s": round(time.perf_counter() - started, 6)})
-    manifest.write(_manifest_target(args))
     print(f"wrote {len(inverted)} inverted entries to {args.out}", file=sys.stderr)
-    return 0
+    return _finish(args, {"direction": list(inverted.direction)}, [args.dict],
+                   {"entries_before": len(dictionary), "entries_after": len(inverted)},
+                   [args.out])
 
 
 def _cmd_dict_stats(args) -> int:
-    dictionary = load_dictionary(args.dict)
-    stats = dictionary_stats(dictionary)
-    out = _emit_report(args, stats, f"wrote stats to {args.out}")
-    manifest = _new_manifest(args, {}, [args.dict],
-                             {"entries": stats["entries"]}, [out])
-    manifest.write(_manifest_target(args, out))
-    return 0
+    stats = dictionary_stats(load_dictionary(args.dict))
+    _emit_report(args, stats, f"wrote stats to {args.out}")
+    return _finish(args, {}, [args.dict], {"entries": stats["entries"]}, [args.out])
 
 
 # -- w2w -----------------------------------------------------------------------
@@ -231,12 +199,10 @@ def _cmd_w2w(args) -> int:
     cfg = _resolve(args, [("max_len", 75, int)])
     if cfg["max_len"] < 0:
         raise ConfigError(f"max-len must be >= 0, got {cfg['max_len']}")
-    started = time.perf_counter()
     dictionary = load_dictionary(args.dict)
-    lines = _read_lines(args.in_path)
     summary = OovSummary()
     translated = []
-    for line in lines:
+    for line in read_lines(args.in_path):
         tokens = tokenize(line)
         if not tokens:
             translated.append("")
@@ -251,14 +217,10 @@ def _cmd_w2w(args) -> int:
     atomic_write_text(args.out, "\n".join(translated) + "\n" if translated else "")
     summary_path = args.summary or str(args.out) + ".oov.json"
     atomic_write_json(summary_path, summary.to_dict())
-    manifest = _new_manifest(
-        args, {"max_len": cfg["max_len"]}, [args.dict, args.in_path],
-        summary.to_dict(), [args.out, summary_path],
-        timing={"total_s": round(time.perf_counter() - started, 6)})
-    manifest.write(_manifest_target(args))
     print(f"translated {summary.sentences} sentences, "
           f"{summary.oov_tokens}/{summary.total_tokens} tokens OOV", file=sys.stderr)
-    return 0
+    return _finish(args, {"max_len": cfg["max_len"]}, [args.dict, args.in_path],
+                   summary.to_dict(), [args.out, summary_path])
 
 
 # -- mine ----------------------------------------------------------------------
@@ -274,20 +236,15 @@ def _mining_spec():
 
 
 def _cmd_mine_docs(args) -> int:
-    started = time.perf_counter()
     src_docs = read_documents(args.src)
     tgt_docs = read_documents(args.tgt)
     pairs = align_documents(src_docs, tgt_docs)
     rows = [f"{src.id}\t{tgt.id}\t{normalize_title(src.title)}" for src, tgt in pairs]
     atomic_write_text(args.out, "\n".join(rows) + "\n" if rows else "")
-    manifest = _new_manifest(
-        args, {}, [args.src, args.tgt],
-        {"source_documents": len(src_docs), "target_documents": len(tgt_docs),
-         "document_pairs": len(pairs)},
-        [args.out], timing={"total_s": round(time.perf_counter() - started, 6)})
-    manifest.write(_manifest_target(args))
     print(f"paired {len(pairs)} documents", file=sys.stderr)
-    return 0
+    return _finish(args, {}, [args.src, args.tgt],
+                   {"source_documents": len(src_docs), "target_documents": len(tgt_docs),
+                    "document_pairs": len(pairs)}, [args.out])
 
 
 def _run_mining(args, apply_filter: bool) -> int:
@@ -299,7 +256,6 @@ def _run_mining(args, apply_filter: bool) -> int:
     jobs = cfg["jobs"]
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    started = time.perf_counter()
     src_docs = read_documents(args.src)
     tgt_docs = read_documents(args.tgt)
     dictionary = load_dictionary(args.dict)
@@ -309,15 +265,12 @@ def _run_mining(args, apply_filter: bool) -> int:
     write_corpus(pairs, buf)
     atomic_write_text(args.out, buf.getvalue())
     counts = {k: v for k, v in stats.to_dict().items() if k != "config"}
-    # jobs stays out of the manifest: output is identical for any worker count
-    manifest = _new_manifest(
-        args, mining_cfg.to_dict(), [args.src, args.tgt, args.dict], counts,
-        [args.out], timing={"total_s": round(time.perf_counter() - started, 6)})
-    manifest.write(_manifest_target(args))
     print(f"paired {stats.document_pairs} documents, "
           f"aligned {stats.aligned_pairs} sentence pairs, "
           f"kept {stats.final_pairs}", file=sys.stderr)
-    return 0
+    # jobs stays out of the manifest: output is identical for any worker count
+    return _finish(args, mining_cfg.to_dict(), [args.src, args.tgt, args.dict], counts,
+                   [args.out])
 
 
 def _cmd_mine_sents(args) -> int:
@@ -332,42 +285,23 @@ def _cmd_mine_filter(args) -> int:
     cfg = _resolve(args, [("trigram_top", 1000, int), ("trigram_cap", 100, int)])
     mining_cfg = MiningConfig(trigram_top_k=cfg["trigram_top"],
                               trigram_cap=cfg["trigram_cap"])
-    started = time.perf_counter()
     pairs = read_corpus(args.in_path)
     kept = diversity_filter(pairs, mining_cfg)
     buf = io.StringIO()
     write_corpus(kept, buf)
     atomic_write_text(args.out, buf.getvalue())
-    manifest = _new_manifest(
-        args,
-        {"trigram_top_k": cfg["trigram_top"], "trigram_cap": cfg["trigram_cap"]},
-        [args.in_path], {"pairs_before": len(pairs), "pairs_after": len(kept)},
-        [args.out], timing={"total_s": round(time.perf_counter() - started, 6)})
-    manifest.write(_manifest_target(args))
     print(f"kept {len(kept)} of {len(pairs)} pairs", file=sys.stderr)
-    return 0
+    return _finish(args,
+                   {"trigram_top_k": cfg["trigram_top"], "trigram_cap": cfg["trigram_cap"]},
+                   [args.in_path], {"pairs_before": len(pairs), "pairs_after": len(kept)},
+                   [args.out])
 
 
 # -- eval ----------------------------------------------------------------------
 
-def _bleu_chunk_counts(segments) -> tuple[list[int], list[int], int, int]:
-    correct = [0, 0, 0, 0]
-    total = [0, 0, 0, 0]
-    hyp_len = 0
-    ref_len = 0
-    for hyp, ref in segments:
-        seg_c, seg_t, seg_h, seg_r = bleu_segment_counts(hyp, ref)
-        hyp_len += seg_h
-        ref_len += seg_r
-        for n in range(4):
-            correct[n] += seg_c[n]
-            total[n] += seg_t[n]
-    return correct, total, hyp_len, ref_len
-
-
 def _load_parallel_tokens(args, lowercase: bool, pretokenized: bool):
-    hyp_lines = _read_lines(args.hyp)
-    ref_lines = _read_lines(args.ref)
+    hyp_lines = list(read_lines(args.hyp))
+    ref_lines = list(read_lines(args.ref))
     if len(hyp_lines) != len(ref_lines):
         raise InputError(f"{args.hyp} has {len(hyp_lines)} lines but "
                          f"{args.ref} has {len(ref_lines)}")
@@ -384,34 +318,15 @@ def _load_parallel_tokens(args, lowercase: bool, pretokenized: bool):
 
 def _cmd_eval_bleu(args) -> int:
     cfg = _resolve(args, [("lowercase", False, _conv_bool),
-                          ("no_tokenize", False, _conv_bool),
-                          ("jobs", 1, int)])
+                          ("no_tokenize", False, _conv_bool)])
     hyps, refs = _load_parallel_tokens(args, cfg["lowercase"], cfg["no_tokenize"])
-    jobs = cfg["jobs"]
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    if jobs > 1 and len(hyps) > 1:
-        segments = list(zip(hyps, refs))
-        step = (len(segments) + jobs - 1) // jobs
-        chunks = [segments[i : i + step] for i in range(0, len(segments), step)]
-        with multiprocessing.Pool(jobs) as pool:
-            parts = pool.map(_bleu_chunk_counts, chunks)
-        correct = [sum(p[0][n] for p in parts) for n in range(4)]
-        total = [sum(p[1][n] for p in parts) for n in range(4)]
-        report = bleu_from_counts(correct, total, sum(p[2] for p in parts),
-                                  sum(p[3] for p in parts), lowercase=cfg["lowercase"])
-    else:
-        # loader already lowercased, re-applying is a no-op but stamps the flag
-        report = bleu(hyps, refs, lowercase=cfg["lowercase"])
+    # loader already lowercased, re-applying is a no-op but stamps the flag
+    report = bleu(hyps, refs, lowercase=cfg["lowercase"])
     if args.out:
         atomic_write_json(args.out, report.to_dict())
     print(f"bleu {report.bleu:.2f}")
-    manifest = _new_manifest(
-        args,
-        {"lowercase": cfg["lowercase"], "no_tokenize": cfg["no_tokenize"]},
-        [args.hyp, args.ref], {"segments": len(hyps)}, [args.out])
-    manifest.write(_manifest_target(args, args.out))
-    return 0
+    return _finish(args, {"lowercase": cfg["lowercase"], "no_tokenize": cfg["no_tokenize"]},
+                   [args.hyp, args.ref], {"segments": len(hyps)}, [args.out])
 
 
 def _cmd_eval_rouge(args) -> int:
@@ -428,14 +343,12 @@ def _cmd_eval_rouge(args) -> int:
     if args.out:
         atomic_write_json(args.out, payload)
     print(f"rouge1_f1 {payload['mean_f1']:.4f}")
-    manifest = _new_manifest(args, {"lowercase": cfg["lowercase"]},
-                             [args.hyp, args.ref], {"segments": len(scores)}, [args.out])
-    manifest.write(_manifest_target(args, args.out))
-    return 0
+    return _finish(args, {"lowercase": cfg["lowercase"]}, [args.hyp, args.ref],
+                   {"segments": len(scores)}, [args.out])
 
 
 def _lines_to_sentences(path) -> list[Sentence]:
-    return [Sentence(line) for line in _read_lines(path) if line.strip()]
+    return [Sentence(line) for line in read_lines(path) if line.strip()]
 
 
 def _cmd_eval_stats(args) -> int:
@@ -454,30 +367,21 @@ def _cmd_eval_stats(args) -> int:
     else:
         raise ConfigError("stats needs --corpus or both --side-a and --side-b")
     stats = corpus_stats(side_a, side_b)
-    payload = stats.to_dict()
-    out = _emit_report(args, payload, f"wrote stats to {args.out}")
-    manifest = _new_manifest(args, {}, inputs,
-                             {"sentences_a": stats.side_a.sentences,
-                              "sentences_b": stats.side_b.sentences}, [out])
-    manifest.write(_manifest_target(args, out))
-    return 0
+    _emit_report(args, stats.to_dict(), f"wrote stats to {args.out}")
+    return _finish(args, {}, inputs, {"sentences_a": stats.side_a.sentences,
+                                      "sentences_b": stats.side_b.sentences}, [args.out])
 
 
 def _read_scores(path) -> list[int]:
     scores = []
-    try:
-        handle = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
-    with handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                scores.append(int(line))
-            except ValueError as exc:
-                raise ParseError(path, line_no, f"expected an integer, got {line!r}") from exc
+    for line_no, raw in enumerate(read_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            scores.append(int(line))
+        except ValueError as exc:
+            raise ParseError(path, line_no, f"expected an integer, got {line!r}") from exc
     return scores
 
 
@@ -489,29 +393,22 @@ def _cmd_eval_judge(args) -> int:
         atomic_write_json(args.out, summary.to_dict())
     agreement = f"{summary.pearson:.4f}" if summary.pearson_defined else "undefined"
     print(f"mean {summary.mean_score:.2f} pearson {agreement}")
-    manifest = _new_manifest(args, {}, [args.scores_a, args.scores_b],
-                             {"items": summary.items}, [args.out])
-    manifest.write(_manifest_target(args, args.out))
-    return 0
+    return _finish(args, {}, [args.scores_a, args.scores_b], {"items": summary.items},
+                   [args.out])
 
 
 # -- sent ----------------------------------------------------------------------
 
 def _cmd_sent_bpe(args) -> int:
     cfg = _resolve(args, [("vocab_size", 2000, int)])
-    started = time.perf_counter()
-    lines = [line for line in _read_lines(args.in_path) if line.strip()]
+    lines = [line for line in read_lines(args.in_path) if line.strip()]
     if not lines:
         raise InputError(f"{args.in_path} has no text")
     model = bpe_train(lines, vocab_size=cfg["vocab_size"])
     atomic_write_json(args.out, model.to_dict())
-    manifest = _new_manifest(
-        args, {"vocab_size": cfg["vocab_size"]}, [args.in_path],
-        {"lines": len(lines), "merges": len(model.merges)}, [args.out],
-        timing={"total_s": round(time.perf_counter() - started, 6)})
-    manifest.write(_manifest_target(args))
     print(f"learned {len(model.merges)} merges from {len(lines)} lines", file=sys.stderr)
-    return 0
+    return _finish(args, {"vocab_size": cfg["vocab_size"]}, [args.in_path],
+                   {"lines": len(lines), "merges": len(model.merges)}, [args.out])
 
 
 def _cmd_sent_cv(args) -> int:
@@ -536,21 +433,14 @@ def _cmd_sent_cv(args) -> int:
                       lr_epoch_grid=tuple(cfg["lr_epoch_grid"]),
                       lr_l2_grid=tuple(cfg["lr_l2_grid"]),
                       lr_learning_rate=cfg["lr_learning_rate"])
-    started = time.perf_counter()
     rows = load_labeled_tsv(args.data)
     dictionary = load_dictionary(args.dict, ("tgt", "src")) if args.dict else None
     report = cross_validate(rows, config, args.mode, dictionary)
-    payload = report.to_dict()
-    out = _emit_report(args, payload, f"wrote report to {args.out}")
+    _emit_report(args, report.to_dict(), f"wrote report to {args.out}")
     print(f"mean_f1_positive {report.mean_f1_positive:.4f} "
           f"mean_f1_macro {report.mean_f1_macro:.4f}", file=sys.stderr)
-    inputs = [args.data] + ([args.dict] if args.dict else [])
-    manifest = _new_manifest(
-        args, {"mode": args.mode, **config.to_dict()}, inputs,
-        {"rows": len(rows), "folds": config.folds}, [out], seed=config.seed,
-        timing={"total_s": round(time.perf_counter() - started, 6)})
-    manifest.write(_manifest_target(args, out))
-    return 0
+    return _finish(args, {"mode": args.mode, **config.to_dict()}, [args.data, args.dict],
+                   {"rows": len(rows), "folds": config.folds}, [args.out], seed=config.seed)
 
 
 # -- parser --------------------------------------------------------------------
@@ -651,7 +541,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="case-insensitive scoring")
     sub.add_argument("--no-tokenize", dest="no_tokenize", action="store_true",
                      default=None, help="input is pre-tokenized; split on spaces")
-    sub.add_argument("--jobs", type=int, help="worker processes (default 1)")
     sub.add_argument("--out", help="JSON report (default: stdout)")
     sub = leaf(eval_subs, "rouge", "eval-rouge", _cmd_eval_rouge, "mean ROUGE-1 F1")
     sub.add_argument("--hyp", required=True)
@@ -704,6 +593,7 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    args.started = time.perf_counter()
     try:
         return args.handler(args)
     except LexmineError as exc:
@@ -717,3 +607,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -8,10 +8,10 @@ translations are not registered words.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 from .errors import InputError, ParseError
+from .manifest import read_lines
 
 
 @dataclass
@@ -81,12 +81,7 @@ def parse_dictionary(lines, direction: tuple[str, str] = ("src", "tgt"),
 
 
 def load_dictionary(path, direction: tuple[str, str] = ("src", "tgt")) -> BilingualDictionary:
-    try:
-        handle = io.open(path, encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
-    with handle:
-        return parse_dictionary(handle, direction, path=str(path))
+    return parse_dictionary(read_lines(path), direction, path=str(path))
 
 
 def save_dictionary(dictionary: BilingualDictionary, handle) -> None:
@@ -97,17 +92,12 @@ def save_dictionary(dictionary: BilingualDictionary, handle) -> None:
 
 
 def load_lexicon(path) -> Lexicon:
-    try:
-        handle = io.open(path, encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
     words = set()
-    with handle:
-        for line_no, raw in enumerate(handle, start=1):
-            word = raw.strip()
-            if not word or word.startswith("#"):
-                continue
-            words.add(_check_single_word(word, path, line_no))
+    for line_no, raw in enumerate(read_lines(path), start=1):
+        word = raw.strip()
+        if not word or word.startswith("#"):
+            continue
+        words.add(_check_single_word(word, path, line_no))
     return Lexicon(words)
 
 

@@ -1,22 +1,30 @@
-"""Run manifests and atomic file output.
+"""Run manifests, input files and atomic file output.
 
 Every CLI command writes a manifest next to its primary output recording
 the command name, the resolved configuration, sha256 digests of all input
 files, and per-stage counts. Two runs over identical inputs with identical
 settings produce byte-identical manifests; the only non-deterministic
 record, per-stage wall-clock, goes to a separate ``*.timing.json`` sidecar
-so it never breaks reproducibility comparisons.
+so it never breaks reproducibility comparisons. Every text input is read
+through ``read_lines``, so a missing or undecodable file fails the same way
+in every command.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field
 
+from .errors import InputError, ParseError
+
 SCHEMA_VERSION = 1
 TOOL_NAME = "lexmine"
+
+# what the surrogateescape error handler turns each undecodable byte into
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 def sha256_file(path) -> str:
@@ -25,6 +33,32 @@ def sha256_file(path) -> str:
         for block in iter(lambda: handle.read(1 << 20), b""):
             digest.update(block)
     return digest.hexdigest()
+
+
+def read_lines(path):
+    """Yield the lines of a UTF-8 text file, without their line ends.
+
+    The file is read line by line, never whole. A file that cannot be
+    opened raises InputError; bytes that are not UTF-8 raise ParseError
+    naming the first line that holds them.
+    """
+    try:
+        handle = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
+    with handle:
+        try:
+            for line in handle:
+                yield line.rstrip("\n")
+        except UnicodeDecodeError:
+            raise ParseError(path, _first_undecodable_line(path), "not valid UTF-8") from None
+
+
+def _first_undecodable_line(path) -> int:
+    # the strict decoder reads ahead in blocks, so its error cannot name the line
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        return next(line_no for line_no, line in enumerate(handle, start=1)
+                    if _UNDECODABLE.search(line))
 
 
 def atomic_write_text(path, text: str):

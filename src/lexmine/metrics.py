@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, UndefinedStatisticError
-from .textproc import Sentence, Token, is_punctuation
+from .textproc import Sentence, Token, is_punctuation, ngrams
 
 BLEU_MAX_ORDER = 4
 
@@ -62,57 +62,6 @@ class BleuReport:
         }
 
 
-def _ngram_counts(tokens: list[Token], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-
-
-def bleu_segment_counts(hyp: list[Token], ref: list[Token]
-                        ) -> tuple[list[int], list[int], int, int]:
-    """Clipped n-gram matches and totals for one segment.
-
-    Corpus BLEU is a pure sum of these per-segment integer counts, so they
-    can be computed in any order (or in parallel) and added up.
-    """
-    correct = [0] * BLEU_MAX_ORDER
-    total = [0] * BLEU_MAX_ORDER
-    for n in range(1, BLEU_MAX_ORDER + 1):
-        if len(hyp) < n:
-            break
-        hyp_counts = _ngram_counts(hyp, n)
-        ref_counts = _ngram_counts(ref, n)
-        total[n - 1] = len(hyp) - n + 1
-        correct[n - 1] = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-    return correct, total, len(hyp), len(ref)
-
-
-def bleu_from_counts(correct: list[int], total: list[int], hyp_len: int,
-                     ref_len: int, lowercase: bool = False) -> BleuReport:
-    """Assemble the corpus score from pooled per-segment counts."""
-    if hyp_len == 0:
-        return BleuReport(0.0, (0.0,) * BLEU_MAX_ORDER, 0.0, 0, ref_len,
-                          zero_length=True, lowercased=lowercase)
-
-    precisions = [0.0] * BLEU_MAX_ORDER
-    log_sum = 0.0
-    effective_orders = 0
-    smooth = 1.0
-    for n in range(1, BLEU_MAX_ORDER + 1):
-        if total[n - 1] == 0:
-            continue
-        effective_orders += 1
-        if correct[n - 1] == 0:
-            smooth *= 2.0
-            precisions[n - 1] = 1.0 / (smooth * total[n - 1])
-        else:
-            precisions[n - 1] = correct[n - 1] / total[n - 1]
-        log_sum += math.log(precisions[n - 1])
-
-    bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
-    score = 100.0 * bp * math.exp(log_sum / effective_orders)
-    return BleuReport(score, tuple(precisions), bp, hyp_len, ref_len,
-                      lowercased=lowercase)
-
-
 def bleu(hypotheses: list[list[Token]], references: list[list[Token]],
          lowercase: bool = False) -> BleuReport:
     """Corpus-level BLEU over 1..4-grams with a single reference per segment.
@@ -137,20 +86,37 @@ def bleu(hypotheses: list[list[Token]], references: list[list[Token]],
     hyp_len = 0
     ref_len = 0
     for hyp, ref in zip(hypotheses, references):
-        seg_correct, seg_total, seg_hyp, seg_ref = bleu_segment_counts(hyp, ref)
-        hyp_len += seg_hyp
-        ref_len += seg_ref
-        for n in range(BLEU_MAX_ORDER):
-            correct[n] += seg_correct[n]
-            total[n] += seg_total[n]
+        hyp_len += len(hyp)
+        ref_len += len(ref)
+        for n in range(1, min(len(hyp), BLEU_MAX_ORDER) + 1):
+            ref_counts = Counter(ngrams(ref, n))
+            correct[n - 1] += sum(min(c, ref_counts[g])
+                                  for g, c in Counter(ngrams(hyp, n)).items())
+            total[n - 1] += len(hyp) - n + 1
 
-    return bleu_from_counts(correct, total, hyp_len, ref_len, lowercase=lowercase)
+    if hyp_len == 0:
+        return BleuReport(0.0, (0.0,) * BLEU_MAX_ORDER, 0.0, 0, ref_len,
+                          zero_length=True, lowercased=lowercase)
 
+    precisions = [0.0] * BLEU_MAX_ORDER
+    log_sum = 0.0
+    effective_orders = 0
+    smooth = 1.0
+    for n in range(1, BLEU_MAX_ORDER + 1):
+        if total[n - 1] == 0:
+            continue
+        effective_orders += 1
+        if correct[n - 1] == 0:
+            smooth *= 2.0
+            precisions[n - 1] = 1.0 / (smooth * total[n - 1])
+        else:
+            precisions[n - 1] = correct[n - 1] / total[n - 1]
+        log_sum += math.log(precisions[n - 1])
 
-def raw_copy_baseline(source: list[list[Token]], target: list[list[Token]],
-                      lowercase: bool = False) -> BleuReport:
-    """BLEU of copying the source unchanged; the no-translation baseline."""
-    return bleu(source, target, lowercase=lowercase)
+    bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    score = 100.0 * bp * math.exp(log_sum / effective_orders)
+    return BleuReport(score, tuple(precisions), bp, hyp_len, ref_len,
+                      lowercased=lowercase)
 
 
 def pearson(x: list[float], y: list[float]) -> float:

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import re
-import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .dictionary import BilingualDictionary
 from .errors import InputError, ParseError
+from .manifest import read_lines
 from .metrics import rouge1_f1
-from .textproc import Sentence, normalize, split_sentences
+from .textproc import Sentence, is_punctuation, ngrams, normalize, split_sentences
 from .w2w import translate_tokens
 
 _TITLE_WS = re.compile(r"\s+")
@@ -29,7 +30,6 @@ class Document:
     id: str
     title: str
     text: str
-    language: str = ""
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,8 @@ class MiningConfig:
 
 def normalize_title(title: str) -> str:
     """Lowercase, strip punctuation/symbols, collapse whitespace."""
-    kept = []
-    for ch in title.lower():
-        if unicodedata.category(ch)[0] in ("P", "S"):
-            kept.append(" ")
-        else:
-            kept.append(ch)
-    return _TITLE_WS.sub(" ", "".join(kept)).strip()
+    kept = "".join(" " if is_punctuation(ch) else ch for ch in title.lower())
+    return _TITLE_WS.sub(" ", kept).strip()
 
 
 def align_documents(src_docs: list[Document], tgt_docs: list[Document]
@@ -141,11 +136,6 @@ def align_sentences(pair: tuple[Document, Document], dictionary: BilingualDictio
     ]
 
 
-def _source_trigrams(pair: AlignedPair) -> set[tuple[str, str, str]]:
-    tokens = normalize(pair.source_sentence.tokens())
-    return {tuple(tokens[i : i + 3]) for i in range(len(tokens) - 2)}
-
-
 def diversity_filter(pairs: list[AlignedPair], cfg: MiningConfig) -> list[AlignedPair]:
     """Thin sentences so no frequent source trigram dominates the corpus.
 
@@ -155,7 +145,7 @@ def diversity_filter(pairs: list[AlignedPair], cfg: MiningConfig) -> list[Aligne
     sheds its lowest-scoring sentences (ties: input order) until it fits,
     and counts are recomputed. Output preserves input order.
     """
-    trigram_sets = [_source_trigrams(p) for p in pairs]
+    trigram_sets = [set(ngrams(normalize(p.source_sentence.tokens()), 3)) for p in pairs]
     occurrence = Counter()
     for trigrams in trigram_sets:
         occurrence.update(trigrams)
@@ -213,7 +203,6 @@ class MiningStats:
     source_sentences: int = 0
     aligned_pairs: int = 0
     final_pairs: int = 0
-    deduplicated: bool = False  # identical sentence pairs are kept as-is
     config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -224,7 +213,6 @@ class MiningStats:
             "source_sentences": self.source_sentences,
             "aligned_pairs": self.aligned_pairs,
             "final_pairs": self.final_pairs,
-            "deduplicated": self.deduplicated,
             "config": self.config,
         }
 
@@ -235,7 +223,9 @@ def mine(src_docs: list[Document], tgt_docs: list[Document],
     """Full pipeline: title pairing -> sentence alignment -> trigram filter.
 
     Results are merged in document-pair order, so the output is identical
-    for any `jobs` value. `apply_filter=False` stops after thresholding.
+    for any `jobs` value. At most `jobs` workers start, and never more than
+    there are document pairs or CPUs. `apply_filter=False` stops after
+    thresholding.
     """
     stats = MiningStats(config=cfg.to_dict())
     stats.source_documents = len(src_docs)
@@ -245,8 +235,9 @@ def mine(src_docs: list[Document], tgt_docs: list[Document],
     stats.document_pairs = len(doc_pairs)
     stats.source_sentences = sum(len(split_sentences(src.text)) for src, _ in doc_pairs)
 
-    if jobs > 1 and len(doc_pairs) > 1:
-        with multiprocessing.Pool(jobs, initializer=_init_worker,
+    workers = min(jobs, len(doc_pairs), os.cpu_count() or 1)
+    if workers > 1:
+        with multiprocessing.Pool(workers, initializer=_init_worker,
                                   initargs=(dictionary, cfg)) as pool:
             per_pair = pool.map(_align_pair_task, doc_pairs, chunksize=8)
     else:
@@ -263,26 +254,29 @@ def mine(src_docs: list[Document], tgt_docs: list[Document],
 # -- file formats ------------------------------------------------------------
 
 def read_documents(path) -> list[Document]:
-    """JSON-lines documents with `id`, `title`, `text` fields."""
+    """JSON-lines documents with `id`, `title`, `text` fields.
+
+    An id may not hold a tab or a line break, because it becomes the last
+    column of the corpus TSV.
+    """
     docs = []
-    try:
-        handle = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
-    with handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from exc
-            for key in ("id", "title", "text"):
-                if key not in obj:
-                    raise ParseError(path, line_no, f"missing field {key!r}")
-            docs.append(Document(str(obj["id"]), str(obj["title"]), str(obj["text"]),
-                                 str(obj.get("language", ""))))
+    for line_no, raw in enumerate(read_lines(path), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from exc
+        if not isinstance(obj, dict):
+            raise ParseError(path, line_no, "expected a JSON object")
+        for key in ("id", "title", "text"):
+            if key not in obj:
+                raise ParseError(path, line_no, f"missing field {key!r}")
+        doc_id = str(obj["id"])
+        if any(ch in doc_id for ch in "\t\n\r"):
+            raise ParseError(path, line_no, f"id {doc_id!r} holds a tab or line break")
+        docs.append(Document(doc_id, str(obj["title"]), str(obj["text"])))
     return docs
 
 
@@ -297,23 +291,17 @@ def write_corpus(pairs: list[AlignedPair], handle) -> None:
 
 def read_corpus(path) -> list[AlignedPair]:
     pairs = []
-    try:
-        handle = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
-    with handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            columns = line.split("\t")
-            if len(columns) != 4:
-                raise ParseError(path, line_no,
-                                 f"expected 4 tab-separated columns, got {len(columns)}")
-            source, target, score_text, doc_id = columns
-            try:
-                score = float(score_text)
-            except ValueError:
-                raise ParseError(path, line_no, f"bad score {score_text!r}") from None
-            pairs.append(AlignedPair(Sentence(source), Sentence(target), score, doc_id))
+    for line_no, line in enumerate(read_lines(path), start=1):
+        if not line:
+            continue
+        columns = line.split("\t")
+        if len(columns) != 4:
+            raise ParseError(path, line_no,
+                             f"expected 4 tab-separated columns, got {len(columns)}")
+        source, target, score_text, doc_id = columns
+        try:
+            score = float(score_text)
+        except ValueError:
+            raise ParseError(path, line_no, f"bad score {score_text!r}") from None
+        pairs.append(AlignedPair(Sentence(source), Sentence(target), score, doc_id))
     return pairs

@@ -27,7 +27,6 @@ from .cv import (
     CvReport,
     FoldAssignment,
     LabeledPair,
-    LabeledText,
     cross_validate,
     load_labeled_tsv,
     stratified_folds,
@@ -40,6 +39,6 @@ __all__ = [
     "lr_gradient", "lr_loss", "lr_predict", "lr_train",
     "nb_log_posteriors", "nb_predict", "nb_train",
     "MODES", "CvConfig", "CvReport", "FoldAssignment",
-    "LabeledPair", "LabeledText",
+    "LabeledPair",
     "cross_validate", "load_labeled_tsv", "stratified_folds",
 ]

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from ..dictionary import BilingualDictionary
 from ..errors import ConfigError, InputError, ParseError
+from ..manifest import read_lines
 from ..w2w import translate_text
 from .bpe import bpe_train, featurize
 from .models import (
@@ -37,17 +38,6 @@ MODES = ("train-src/test-tgt", "train-src/test-w2w", "train-tgt/test-tgt")
 
 
 @dataclass(frozen=True)
-class LabeledText:
-    text: str
-    label: str
-    language: str = ""
-
-    def __post_init__(self):
-        if not self.text:
-            raise InputError("labeled text is empty")
-
-
-@dataclass(frozen=True)
 class LabeledPair:
     """One corpus row: polarity label plus both language sides."""
 
@@ -59,28 +49,22 @@ class LabeledPair:
 def load_labeled_tsv(path) -> list[LabeledPair]:
     """Rows `label<TAB>text_src[<TAB>text_tgt]`; one column of text means
     a monolingual corpus and fills both sides."""
-    try:
-        handle = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
     rows = []
-    with handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            columns = line.split("\t")
-            if len(columns) not in (2, 3):
-                raise ParseError(path, line_no,
-                                 f"expected 2 or 3 tab-separated columns, got {len(columns)}")
-            label = columns[0].strip().lower()
-            if label not in LABELS:
-                raise ParseError(path, line_no, f"unknown label {columns[0]!r}")
-            src = columns[1].strip()
-            tgt = columns[2].strip() if len(columns) == 3 else src
-            if not src or not tgt:
-                raise ParseError(path, line_no, "empty text column")
-            rows.append(LabeledPair(label, src, tgt))
+    for line_no, line in enumerate(read_lines(path), start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        columns = line.split("\t")
+        if len(columns) not in (2, 3):
+            raise ParseError(path, line_no,
+                             f"expected 2 or 3 tab-separated columns, got {len(columns)}")
+        label = columns[0].strip().lower()
+        if label not in LABELS:
+            raise ParseError(path, line_no, f"unknown label {columns[0]!r}")
+        src = columns[1].strip()
+        tgt = columns[2].strip() if len(columns) == 3 else src
+        if not src or not tgt:
+            raise ParseError(path, line_no, "empty text column")
+        rows.append(LabeledPair(label, src, tgt))
     return rows
 
 
@@ -236,7 +220,7 @@ def _tune_lr(train_data, dev_features, dev_labels, config):
     for l2 in config.lr_l2_grid:
         lr_cfg = LrConfig(learning_rate=config.lr_learning_rate,
                           epochs=max(config.lr_epoch_grid),
-                          l2_strength=l2, seed=config.seed)
+                          l2_strength=l2)
         models = lr_train_checkpoints(train_data, lr_cfg, list(config.lr_epoch_grid))
         for epochs in config.lr_epoch_grid:
             results[(epochs, l2)] = models[epochs]

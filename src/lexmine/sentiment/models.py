@@ -103,7 +103,6 @@ class LrConfig:
     learning_rate: float = 0.1
     epochs: int = 100
     l2_strength: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -203,7 +202,7 @@ def lr_train_checkpoints(data: list[tuple[FeatureVector, str]], config: LrConfig
     snapshots = _lr_descend(problem, config, set(epoch_grid))
     models = {}
     for epochs, (w, bias) in snapshots.items():
-        cfg = LrConfig(config.learning_rate, epochs, config.l2_strength, config.seed)
+        cfg = LrConfig(config.learning_rate, epochs, config.l2_strength)
         weights = {f: float(v) for f, v in zip(problem.feature_ids, w) if v != 0.0}
         models[epochs] = LrModel(weights, bias, cfg)
     return models

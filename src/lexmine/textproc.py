@@ -2,15 +2,14 @@
 
 All other modules build on these primitives, so everything here is a pure
 function with no configuration beyond explicit arguments. Tokens are plain
-strings; n-grams are tuples of lowercased token surfaces counted in a
-``collections.Counter``.
+strings; n-grams are tuples of tokens, case kept as given.
 """
 from __future__ import annotations
 
 import re
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import InputError
 
@@ -70,11 +69,6 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(chunk[lead:trail])
         tokens.extend(chunk[trail:])
     return tokens
-
-
-def join_tokens(tokens: list[Token]) -> str:
-    """Inverse-ish of tokenize: single-space join (round-trip stable)."""
-    return " ".join(tokens)
 
 
 def normalize(tokens: list[Token]) -> list[Token]:
@@ -139,12 +133,15 @@ def split_sentences(text: str, abbreviations: frozenset[str] = frozenset()) -> l
     return sentences
 
 
-def ngrams(tokens: list[Token], n: int) -> Counter[NGram]:
-    """Multiset of contiguous n-grams over lowercased token surfaces."""
+def ngrams(tokens: list[Token], n: int) -> Iterator[NGram]:
+    """Contiguous n-grams of the token list, in order, case kept.
+
+    Returns a one-pass iterator: wrap it in a Counter for a multiset or in
+    a set for the distinct n-grams.
+    """
     if n < 1:
         raise InputError(f"n-gram order must be >= 1, got {n}")
-    lowered = [t.lower() for t in tokens]
-    return Counter(tuple(lowered[i : i + n]) for i in range(len(lowered) - n + 1))
+    return zip(*(tokens[i:] for i in range(n)))
 
 
 def truncate(tokens: list[Token], max_len: int) -> list[Token]:

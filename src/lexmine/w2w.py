@@ -8,10 +8,9 @@ all-lowercase, token count preserved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from .dictionary import BilingualDictionary
-from .textproc import Sentence, Token, is_punctuation, tokenize
+from .textproc import Token, is_punctuation, tokenize
 
 
 @dataclass(frozen=True)
@@ -66,25 +65,5 @@ def translate_tokens(dictionary: BilingualDictionary, tokens: list[Token]) -> Tr
     return TranslationResult(out, oov, len(out))
 
 
-def translate_sentence(dictionary: BilingualDictionary, sentence: Sentence) -> TranslationResult:
-    return translate_tokens(dictionary, sentence.tokens())
-
-
 def translate_text(dictionary: BilingualDictionary, text: str) -> TranslationResult:
     return translate_tokens(dictionary, tokenize(text))
-
-
-def translate_corpus(dictionary: BilingualDictionary, sentences: Iterable[Sentence],
-                     summary: OovSummary | None = None) -> Iterator[TranslationResult]:
-    """Translate a sentence stream; OOV counts accumulate into `summary`.
-
-    The aggregate is a plain sum of per-sentence counts, so any fan-out /
-    merge order gives the same totals.
-    """
-    for sentence in sentences:
-        result = translate_sentence(dictionary, sentence)
-        if summary is not None:
-            summary.sentences += 1
-            summary.oov_tokens += result.oov_count
-            summary.total_tokens += result.total_count
-        yield result

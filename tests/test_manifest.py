@@ -1,0 +1,28 @@
+"""The shared input reader."""
+from __future__ import annotations
+
+import pytest
+
+from lexmine.errors import InputError, ParseError
+from lexmine.manifest import read_lines
+
+
+class TestReadLines:
+    def test_line_ends_removed(self, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_bytes(b"one\ntwo\r\nthree\rfour")
+        assert list(read_lines(path)) == ["one", "two", "three", "four"]
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(InputError) as err:
+            list(read_lines(tmp_path / "absent.txt"))
+        assert str(err.value).startswith(f"cannot read {tmp_path / 'absent.txt'}: ")
+
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xe2\x82", b"\xed\xa0\x80"])
+    def test_undecodable_line_is_named(self, tmp_path, bad):
+        # far past the decoder's first read-ahead block
+        path = tmp_path / "in.txt"
+        path.write_bytes(b"fine line\n" * 2999 + b"x" + bad + b"y\n" + b"fine line\n")
+        with pytest.raises(ParseError) as err:
+            list(read_lines(path))
+        assert str(err.value) == f"{path}:3000: not valid UTF-8"

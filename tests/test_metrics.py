@@ -9,12 +9,9 @@ from hypothesis import given, strategies as st
 from lexmine.errors import InputError, UndefinedStatisticError
 from lexmine.metrics import (
     bleu,
-    bleu_from_counts,
-    bleu_segment_counts,
     corpus_stats,
     judgment_summary,
     pearson,
-    raw_copy_baseline,
     rouge1_f1,
 )
 from lexmine.textproc import Sentence
@@ -75,12 +72,10 @@ class TestRouge1:
         assert 0.0 <= score.f1 <= 1.0
 
 
-def oracle_bleu(pairs):
-    """Reference corpus BLEU built from explicit loops (no Counter)."""
+def oracle_counts(pairs):
+    """Pooled clipped n-gram matches and totals per order, from explicit loops."""
     correct = [0] * 4
     total = [0] * 4
-    hyp_len = sum(len(h) for h, _ in pairs)
-    ref_len = sum(len(r) for _, r in pairs)
     for n in range(1, 5):
         for hyp, ref in pairs:
             hyp_grams = [tuple(hyp[i:i + n]) for i in range(len(hyp) - n + 1)]
@@ -88,6 +83,14 @@ def oracle_bleu(pairs):
             total[n - 1] += len(hyp_grams)
             for gram in set(hyp_grams):
                 correct[n - 1] += min(hyp_grams.count(gram), ref_grams.count(gram))
+    return correct, total
+
+
+def oracle_bleu(pairs):
+    """Reference corpus BLEU built from explicit loops (no Counter)."""
+    correct, total = oracle_counts(pairs)
+    hyp_len = sum(len(h) for h, _ in pairs)
+    ref_len = sum(len(r) for _, r in pairs)
     log_sum, orders, smooth = 0.0, 0, 1.0
     for n in range(4):
         if total[n] == 0:
@@ -169,38 +172,30 @@ class TestBleu:
 
     @given(corpus_st)
     def test_counts_decomposition(self, pairs):
-        # summing per-segment counts in two halves reproduces the one-shot score
-        correct = [0] * 4
-        total = [0] * 4
-        hyp_len = ref_len = 0
-        for hyp, ref in pairs:
-            seg_c, seg_t, seg_h, seg_r = bleu_segment_counts(hyp, ref)
-            correct = [a + b for a, b in zip(correct, seg_c)]
-            total = [a + b for a, b in zip(total, seg_t)]
-            hyp_len += seg_h
-            ref_len += seg_r
-        pooled = bleu_from_counts(correct, total, hyp_len, ref_len)
-        direct = bleu([h for h, _ in pairs], [r for _, r in pairs])
-        assert pooled.bleu == pytest.approx(direct.bleu, abs=1e-12)
-        assert pooled.ngram_precisions == direct.ngram_precisions
+        # every matched order's precision is the per-segment clipped counts
+        # pooled over the corpus, and the lengths are per-segment sums
+        report = bleu([h for h, _ in pairs], [r for _, r in pairs])
+        correct, total = oracle_counts(pairs)
+        for n in range(4):
+            if correct[n]:
+                assert report.ngram_precisions[n] == correct[n] / total[n]
+            elif not total[n]:
+                assert report.ngram_precisions[n] == 0.0
+        assert report.hyp_length == sum(len(h) for h, _ in pairs)
+        assert report.ref_length == sum(len(r) for _, r in pairs)
 
     def test_segment_counts_short_segment(self):
-        correct, total, hyp_len, ref_len = bleu_segment_counts(["a", "b"], ["a", "b"])
-        assert total == [2, 1, 0, 0]
-        assert correct == [2, 1, 0, 0]
-        assert (hyp_len, ref_len) == (2, 2)
-
-
-class TestRawCopyBaseline:
-    def test_identical_sides(self):
-        sides = [["a", "b", "c", "d", "e"]]
-        assert raw_copy_baseline(sides, sides).bleu == 100.0
+        # a 2-token segment has no 3- or 4-grams: those orders stay empty
+        report = bleu([["a", "b"]], [["a", "b"]])
+        assert report.ngram_precisions == (1.0, 1.0, 0.0, 0.0)
+        assert (report.hyp_length, report.ref_length) == (2, 2)
+        assert report.bleu == 100.0
 
     def test_disjoint_sides_score_low(self):
         # nothing matches, so only the smoothing floor is left
         src = [["a", "b", "c", "d", "e"]]
         tgt = [["v", "w", "x", "y", "z"]]
-        report = raw_copy_baseline(src, tgt)
+        report = bleu(src, tgt)
         assert report.ngram_precisions == pytest.approx((1 / 10, 1 / 16, 1 / 24, 1 / 32))
         assert report.bleu < 10.0
 

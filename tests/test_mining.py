@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from lexmine import mining
 from lexmine.dictionary import parse_dictionary
 from lexmine.errors import InputError, ParseError
 from lexmine.mining import (
@@ -223,7 +224,6 @@ class TestMine:
         assert stats.source_sentences == 3
         assert stats.aligned_pairs == 3
         assert stats.final_pairs == 3
-        assert not stats.deduplicated
 
     def test_empty_source(self):
         _, tgt = self.docs()
@@ -237,6 +237,40 @@ class TestMine:
         serial, _ = mine(src, tgt, IDENTITY_DICT, MiningConfig(), jobs=1)
         parallel, _ = mine(src, tgt, IDENTITY_DICT, MiningConfig(), jobs=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize("jobs, doc_pairs, cpus, expected", [
+        (8, 2, 4, [2]),       # no more workers than document pairs
+        (8, 6, 4, [4]),       # no more workers than CPUs
+        (3, 6, 4, [3]),
+        (8, 6, None, []),     # CPU count unknown: run serially
+        (8, 1, 4, []),
+    ])
+    def test_pool_size_is_capped(self, monkeypatch, jobs, doc_pairs, cpus, expected):
+        requested = []
+
+        class RecordingPool:
+            """Stands in for multiprocessing.Pool and maps in this process."""
+
+            def __init__(self, processes, initializer, initargs):
+                requested.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, func, items, chunksize=1):
+                return [func(item) for item in items]
+
+        monkeypatch.setattr(mining.multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(mining.os, "cpu_count", lambda: cpus)
+        src = [Document(f"s{i}", f"T{i}", "A b c.") for i in range(doc_pairs)]
+        tgt = [Document(f"t{i}", f"t{i}", "A b c.") for i in range(doc_pairs)]
+        pairs, _ = mine(src, tgt, IDENTITY_DICT, MiningConfig(), jobs=jobs)
+        assert requested == expected
+        assert len(pairs) == doc_pairs
 
     def test_filter_can_be_skipped(self):
         src = [Document(f"s{i}", f"T{i}", "A b c.") for i in range(150)]
@@ -256,10 +290,29 @@ class TestFileFormats:
                 {"id": "d2", "title": "U", "text": "C d."}]
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n",
                         encoding="utf-8")
-        docs = read_documents(path)
-        assert [d.id for d in docs] == ["d1", "d2"]
-        assert docs[0].language == "min"
-        assert docs[1].language == ""
+        # fields other than id, title and text are ignored
+        assert read_documents(path) == [Document("d1", "T", "A b."),
+                                        Document("d2", "U", "C d.")]
+
+    @pytest.mark.parametrize("line", ["5", "[1, 2]", '"text"', "null"])
+    def test_read_documents_non_object(self, tmp_path, line):
+        path = tmp_path / "docs.jsonl"
+        path.write_text('{"id": "d1", "title": "T", "text": "A."}\n' + line + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_documents(path)
+        assert str(err.value) == f"{path}:2: expected a JSON object"
+
+    @pytest.mark.parametrize("doc_id", ["a\tb", "a\nb", "a\rb", "\t"])
+    def test_read_documents_rejects_row_breaking_id(self, tmp_path, doc_id):
+        # the id is the corpus TSV's last column: a tab or line break in it
+        # would make a row that read_corpus cannot read back
+        path = tmp_path / "docs.jsonl"
+        path.write_text(json.dumps({"id": doc_id, "title": "T", "text": "A."}) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_documents(path)
+        assert str(err.value).startswith(f"{path}:1: id ")
 
     def test_read_documents_missing_field(self, tmp_path):
         path = tmp_path / "docs.jsonl"

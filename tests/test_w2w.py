@@ -1,17 +1,16 @@
 """Word-to-word translation invariants and OOV accounting."""
 from __future__ import annotations
 
+import json
+import tempfile
+from pathlib import Path
+
 from hypothesis import given, strategies as st
 
+from lexmine.cli import run
 from lexmine.dictionary import invert, parse_dictionary
-from lexmine.textproc import Sentence, is_punctuation
-from lexmine.w2w import (
-    OovSummary,
-    translate_corpus,
-    translate_sentence,
-    translate_text,
-    translate_tokens,
-)
+from lexmine.textproc import is_punctuation
+from lexmine.w2w import OovSummary, translate_text, translate_tokens
 
 word_st = st.text(alphabet="abcdef", min_size=1, max_size=5)
 token_st = st.one_of(word_st, st.sampled_from(["!", ",", ".", "?"]))
@@ -104,38 +103,42 @@ class TestTextAndSentence:
         result = translate_text(d, "Karambia!")
         assert result.text == "kelapa !"
 
-    def test_sentence_wrapper_matches_text(self):
-        d = parse_dictionary(["karambia\tkelapa"])
-        sentence = Sentence("Karambia enak.")
-        assert translate_sentence(d, sentence).tokens == translate_text(
-            d, sentence.text).tokens
+
+def w2w_summary(dict_rows, lines) -> dict:
+    """The OOV summary `lexmine w2w` writes for these dictionary rows and lines."""
+    with tempfile.TemporaryDirectory() as scratch:
+        d = Path(scratch) / "d.tsv"
+        d.write_text("".join(row + "\n" for row in dict_rows), encoding="utf-8")
+        src = Path(scratch) / "in.txt"
+        src.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        out = Path(scratch) / "out.txt"
+        assert run(["w2w", "--dict", str(d), "--in", str(src), "--out", str(out)]) == 0
+        return json.loads(Path(str(out) + ".oov.json").read_text(encoding="utf-8"))
 
 
 class TestCorpusSummary:
     def test_aggregate_rate(self):
-        d = parse_dictionary(["a\tx", "b\ty"])
-        summary = OovSummary()
-        list(translate_corpus(d, [Sentence("a q"), Sentence("b r")], summary))
-        assert summary.sentences == 2
-        assert summary.oov_tokens == 2
-        assert summary.total_tokens == 4
-        assert summary.rate == 0.5
-        assert not summary.zero_denominator
+        summary = w2w_summary(["a\tx", "b\ty"], ["a q", "b r"])
+        assert summary["sentences"] == 2
+        assert summary["oov_tokens"] == 2
+        assert summary["total_tokens"] == 4
+        assert summary["oov_rate"] == 0.5
+        assert summary["zero_denominator"] is False
 
     def test_empty_stream(self):
-        d = parse_dictionary(["a\tx"])
         summary = OovSummary()
-        list(translate_corpus(d, [], summary))
         assert summary.rate == 0.0
         assert summary.zero_denominator
         assert summary.to_dict()["zero_denominator"] is True
+        assert w2w_summary(["a\tx"], []) == summary.to_dict()
 
     @given(st.lists(st.lists(word_st, min_size=1, max_size=6), max_size=6))
     def test_summary_is_sum_of_parts(self, sentence_tokens):
-        d = parse_dictionary(["a\tx", "b\ty"])
-        sentences = [Sentence(" ".join(tokens)) for tokens in sentence_tokens]
-        summary = OovSummary()
-        results = list(translate_corpus(d, sentences, summary))
-        assert summary.oov_tokens == sum(r.oov_count for r in results)
-        assert summary.total_tokens == sum(r.total_count for r in results)
-        assert summary.sentences == len(sentences)
+        rows = ["a\tx", "b\ty"]
+        lines = [" ".join(tokens) for tokens in sentence_tokens]
+        summary = w2w_summary(rows, lines)
+        d = parse_dictionary(rows)
+        results = [translate_text(d, line) for line in lines]
+        assert summary["oov_tokens"] == sum(r.oov_count for r in results)
+        assert summary["total_tokens"] == sum(r.total_count for r in results)
+        assert summary["sentences"] == len(lines)
