@@ -16,7 +16,6 @@ from .version import __version__
 
 from .dictionary import (
     BilingualDictionary,
-    DictEntry,
     Lexicon,
     dictionary_stats,
     filter_by_lexicon,
@@ -82,7 +81,7 @@ __all__ = [
     "DivergenceError", "UndefinedStatisticError",
     "Sentence", "tokenize", "normalize", "split_sentences",
     "ngrams", "truncate", "is_punctuation",
-    "BilingualDictionary", "DictEntry", "Lexicon",
+    "BilingualDictionary", "Lexicon",
     "parse_dictionary", "load_dictionary", "save_dictionary", "load_lexicon",
     "filter_by_lexicon", "invert", "identity_ratio", "dictionary_stats",
     "TranslationResult", "OovSummary",

@@ -16,6 +16,7 @@ import io
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from .dictionary import (
     filter_by_lexicon,
@@ -45,7 +46,7 @@ from .mining import (
     write_corpus,
 )
 from .sentiment import CvConfig, bpe_train, cross_validate, load_labeled_tsv
-from .textproc import Sentence, tokenize, truncate
+from .textproc import Sentence, normalize, tokenize, truncate
 from .version import __version__
 from .w2w import OovSummary, translate_tokens
 
@@ -226,11 +227,12 @@ def _cmd_w2w(args) -> int:
 # -- mine ----------------------------------------------------------------------
 
 def _mining_spec():
+    defaults = MiningConfig()
     return [
-        ("threshold", 0.5, float),
-        ("trigram_top", 1000, int),
-        ("trigram_cap", 100, int),
-        ("one_to_one", True, _conv_bool),
+        ("threshold", defaults.align_threshold, float),
+        ("trigram_top", defaults.trigram_top_k, int),
+        ("trigram_cap", defaults.trigram_cap, int),
+        ("one_to_one", defaults.one_to_one, _conv_bool),
         ("jobs", 1, int),
     ]
 
@@ -264,12 +266,11 @@ def _run_mining(args, apply_filter: bool) -> int:
     buf = io.StringIO()
     write_corpus(pairs, buf)
     atomic_write_text(args.out, buf.getvalue())
-    counts = {k: v for k, v in stats.to_dict().items() if k != "config"}
     print(f"paired {stats.document_pairs} documents, "
           f"aligned {stats.aligned_pairs} sentence pairs, "
           f"kept {stats.final_pairs}", file=sys.stderr)
     # jobs stays out of the manifest: output is identical for any worker count
-    return _finish(args, mining_cfg.to_dict(), [args.src, args.tgt, args.dict], counts,
+    return _finish(args, asdict(mining_cfg), [args.src, args.tgt, args.dict], asdict(stats),
                    [args.out])
 
 
@@ -282,7 +283,8 @@ def _cmd_mine_all(args) -> int:
 
 
 def _cmd_mine_filter(args) -> int:
-    cfg = _resolve(args, [("trigram_top", 1000, int), ("trigram_cap", 100, int)])
+    cfg = _resolve(args, [row for row in _mining_spec()
+                          if row[0] in ("trigram_top", "trigram_cap")])
     mining_cfg = MiningConfig(trigram_top_k=cfg["trigram_top"],
                               trigram_cap=cfg["trigram_cap"])
     pairs = read_corpus(args.in_path)
@@ -299,7 +301,7 @@ def _cmd_mine_filter(args) -> int:
 
 # -- eval ----------------------------------------------------------------------
 
-def _load_parallel_tokens(args, lowercase: bool, pretokenized: bool):
+def _load_parallel_tokens(args, pretokenized: bool):
     hyp_lines = list(read_lines(args.hyp))
     ref_lines = list(read_lines(args.ref))
     if len(hyp_lines) != len(ref_lines):
@@ -310,17 +312,13 @@ def _load_parallel_tokens(args, lowercase: bool, pretokenized: bool):
     split = str.split if pretokenized else tokenize
     hyps = [split(line) for line in hyp_lines]
     refs = [split(line) for line in ref_lines]
-    if lowercase:
-        hyps = [[t.lower() for t in h] for h in hyps]
-        refs = [[t.lower() for t in r] for r in refs]
     return hyps, refs
 
 
 def _cmd_eval_bleu(args) -> int:
     cfg = _resolve(args, [("lowercase", False, _conv_bool),
                           ("no_tokenize", False, _conv_bool)])
-    hyps, refs = _load_parallel_tokens(args, cfg["lowercase"], cfg["no_tokenize"])
-    # loader already lowercased, re-applying is a no-op but stamps the flag
+    hyps, refs = _load_parallel_tokens(args, cfg["no_tokenize"])
     report = bleu(hyps, refs, lowercase=cfg["lowercase"])
     if args.out:
         atomic_write_json(args.out, report.to_dict())
@@ -331,7 +329,10 @@ def _cmd_eval_bleu(args) -> int:
 
 def _cmd_eval_rouge(args) -> int:
     cfg = _resolve(args, [("lowercase", False, _conv_bool)])
-    hyps, refs = _load_parallel_tokens(args, cfg["lowercase"], pretokenized=False)
+    hyps, refs = _load_parallel_tokens(args, pretokenized=False)
+    if cfg["lowercase"]:
+        hyps = [normalize(h) for h in hyps]
+        refs = [normalize(r) for r in refs]
     scores = [rouge1_f1(h, r) for h, r in zip(hyps, refs)]
     payload = {
         "lines": len(scores),
@@ -367,7 +368,7 @@ def _cmd_eval_stats(args) -> int:
     else:
         raise ConfigError("stats needs --corpus or both --side-a and --side-b")
     stats = corpus_stats(side_a, side_b)
-    _emit_report(args, stats.to_dict(), f"wrote stats to {args.out}")
+    _emit_report(args, asdict(stats), f"wrote stats to {args.out}")
     return _finish(args, {}, inputs, {"sentences_a": stats.side_a.sentences,
                                       "sentences_b": stats.side_b.sentences}, [args.out])
 
@@ -390,7 +391,7 @@ def _cmd_eval_judge(args) -> int:
     scores_b = _read_scores(args.scores_b)
     summary = judgment_summary(scores_a, scores_b)
     if args.out:
-        atomic_write_json(args.out, summary.to_dict())
+        atomic_write_json(args.out, asdict(summary))
     agreement = f"{summary.pearson:.4f}" if summary.pearson_defined else "undefined"
     print(f"mean {summary.mean_score:.2f} pearson {agreement}")
     return _finish(args, {}, [args.scores_a, args.scores_b], {"items": summary.items},
@@ -436,10 +437,10 @@ def _cmd_sent_cv(args) -> int:
     rows = load_labeled_tsv(args.data)
     dictionary = load_dictionary(args.dict, ("tgt", "src")) if args.dict else None
     report = cross_validate(rows, config, args.mode, dictionary)
-    _emit_report(args, report.to_dict(), f"wrote report to {args.out}")
+    _emit_report(args, asdict(report), f"wrote report to {args.out}")
     print(f"mean_f1_positive {report.mean_f1_positive:.4f} "
           f"mean_f1_macro {report.mean_f1_macro:.4f}", file=sys.stderr)
-    return _finish(args, {"mode": args.mode, **config.to_dict()}, [args.data, args.dict],
+    return _finish(args, {"mode": args.mode, **asdict(config)}, [args.data, args.dict],
                    {"rows": len(rows), "folds": config.folds}, [args.out], seed=config.seed)
 
 
@@ -501,12 +502,14 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--dict", required=True, help="source->target dictionary TSV")
         sub.add_argument("--out", required=True, help="corpus TSV")
         sub.add_argument("--threshold", type=float,
-                         help="minimum alignment score (default 0.5)")
+                         help=f"minimum alignment score (default {MiningConfig.align_threshold})")
         if with_filter:
             sub.add_argument("--trigram-top", dest="trigram_top", type=int,
-                             help="how many frequent trigrams to watch (default 1000)")
+                             help="how many frequent trigrams to watch "
+                                  f"(default {MiningConfig.trigram_top_k})")
             sub.add_argument("--trigram-cap", dest="trigram_cap", type=int,
-                             help="max sentences per watched trigram (default 100)")
+                             help="max sentences per watched trigram "
+                                  f"(default {MiningConfig.trigram_cap})")
         pairing = sub.add_mutually_exclusive_group()
         pairing.add_argument("--one-to-one", dest="one_to_one", action="store_true",
                              default=None, help="unique targets per document (default)")

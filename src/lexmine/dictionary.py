@@ -15,16 +15,13 @@ from .manifest import read_lines
 
 
 @dataclass
-class DictEntry:
-    source_word: str
-    targets: list[str]  # first entry is the preferred translation
-
-
-@dataclass
 class BilingualDictionary:
-    """Immutable-after-load map from source word to its translations."""
+    """Immutable-after-load map from source word to its translations.
 
-    entries: dict[str, DictEntry] = field(default_factory=dict)
+    The first target of each entry is the preferred translation.
+    """
+
+    entries: dict[str, list[str]] = field(default_factory=dict)
     direction: tuple[str, str] = ("src", "tgt")
 
     def __len__(self) -> int:
@@ -32,11 +29,11 @@ class BilingualDictionary:
 
     def lookup(self, word: str) -> list[str] | None:
         """Case-insensitive exact match; None when absent."""
-        entry = self.entries.get(word.lower())
-        return list(entry.targets) if entry else None
+        targets = self.entries.get(word.lower())
+        return None if targets is None else list(targets)
 
     def pair_set(self) -> set[tuple[str, str]]:
-        return {(e.source_word, t) for e in self.entries.values() for t in e.targets}
+        return {(source, t) for source, targets in self.entries.items() for t in targets}
 
 
 @dataclass
@@ -61,7 +58,7 @@ def _check_single_word(word: str, path, line_no: int) -> str:
 def parse_dictionary(lines, direction: tuple[str, str] = ("src", "tgt"),
                      path: str = "<memory>") -> BilingualDictionary:
     """Parse dictionary rows; duplicate sources merge with target dedup."""
-    entries: dict[str, DictEntry] = {}
+    entries: dict[str, list[str]] = {}
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n").rstrip("\r")
         if not line.strip() or line.lstrip().startswith("#"):
@@ -73,10 +70,10 @@ def parse_dictionary(lines, direction: tuple[str, str] = ("src", "tgt"),
         source = _check_single_word(columns[0].strip(), path, line_no)
         targets = [_check_single_word(t.strip(), path, line_no)
                    for t in columns[1].split("|")]
-        entry = entries.setdefault(source, DictEntry(source, []))
+        known = entries.setdefault(source, [])
         for t in targets:
-            if t not in entry.targets:
-                entry.targets.append(t)
+            if t not in known:
+                known.append(t)
     return BilingualDictionary(entries, direction)
 
 
@@ -87,8 +84,7 @@ def load_dictionary(path, direction: tuple[str, str] = ("src", "tgt")) -> Biling
 def save_dictionary(dictionary: BilingualDictionary, handle) -> None:
     """Write canonical TSV, sorted by source word."""
     for source in sorted(dictionary.entries):
-        entry = dictionary.entries[source]
-        handle.write(f"{source}\t{'|'.join(entry.targets)}\n")
+        handle.write(f"{source}\t{'|'.join(dictionary.entries[source])}\n")
 
 
 def load_lexicon(path) -> Lexicon:
@@ -103,22 +99,22 @@ def load_lexicon(path) -> Lexicon:
 
 def filter_by_lexicon(dictionary: BilingualDictionary, lexicon: Lexicon) -> BilingualDictionary:
     """Keep only targets registered in the lexicon; drop emptied entries."""
-    kept: dict[str, DictEntry] = {}
-    for source, entry in dictionary.entries.items():
-        targets = [t for t in entry.targets if t in lexicon]
-        if targets:
-            kept[source] = DictEntry(source, targets)
+    kept: dict[str, list[str]] = {}
+    for source, targets in dictionary.entries.items():
+        registered = [t for t in targets if t in lexicon]
+        if registered:
+            kept[source] = registered
     return BilingualDictionary(kept, dictionary.direction)
 
 
 def invert(dictionary: BilingualDictionary) -> BilingualDictionary:
     """Target->sources view; source order follows the forward dictionary."""
-    inverse: dict[str, DictEntry] = {}
-    for entry in dictionary.entries.values():
-        for target in entry.targets:
-            inv = inverse.setdefault(target, DictEntry(target, []))
-            if entry.source_word not in inv.targets:
-                inv.targets.append(entry.source_word)
+    inverse: dict[str, list[str]] = {}
+    for source, targets in dictionary.entries.items():
+        for target in targets:
+            sources = inverse.setdefault(target, [])
+            if source not in sources:
+                sources.append(source)
     return BilingualDictionary(inverse, (dictionary.direction[1], dictionary.direction[0]))
 
 
@@ -126,16 +122,16 @@ def identity_ratio(dictionary: BilingualDictionary) -> float:
     """Fraction of entries whose source word is one of its own translations."""
     if not dictionary.entries:
         raise InputError("identity_ratio is undefined for an empty dictionary")
-    same = sum(1 for e in dictionary.entries.values() if e.source_word in e.targets)
+    same = sum(1 for source, targets in dictionary.entries.items() if source in targets)
     return same / len(dictionary.entries)
 
 
 def dictionary_stats(dictionary: BilingualDictionary) -> dict:
     """Summary counts: size, identity overlap, synonym/variant groups."""
     n = len(dictionary.entries)
-    identical = sum(1 for e in dictionary.entries.values() if e.source_word in e.targets)
+    identical = sum(1 for source, targets in dictionary.entries.items() if source in targets)
     inverse = invert(dictionary)
-    multi = sum(1 for e in inverse.entries.values() if len(e.targets) > 1)
+    multi = sum(1 for sources in inverse.entries.values() if len(sources) > 1)
     return {
         "entries": n,
         "identical_entries": identical,

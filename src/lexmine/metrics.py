@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,9 @@ def rouge1_f1(candidate: list[Token], reference: list[Token]) -> RougeScore:
     overlap = sum(min(cnt, ref_counts[tok]) for tok, cnt in cand_counts.items())
     precision = overlap / len(candidate) if candidate else 0.0
     recall = overlap / len(reference) if reference else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    # 2PR/(P+R) as one correctly rounded division: equal fractions give
+    # equal floats, so exact score ties stay ties
+    f1 = 2 * overlap / (len(candidate) + len(reference)) if overlap else 0.0
     return RougeScore(precision, recall, f1, overlap, len(candidate), len(reference))
 
 
@@ -142,14 +144,6 @@ class JudgmentSummary:
     pearson_defined: bool
     items: int
 
-    def to_dict(self) -> dict:
-        return {
-            "mean_score": self.mean_score,
-            "pearson": self.pearson,
-            "pearson_defined": self.pearson_defined,
-            "items": self.items,
-        }
-
 
 def judgment_summary(scores_a: list[int], scores_b: list[int]) -> JudgmentSummary:
     """Aggregate two annotators' 1-5 judgments: averaged mean + agreement."""
@@ -177,16 +171,6 @@ class SideStats:
     std_chars: float
     vocab_size: int
 
-    def to_dict(self) -> dict:
-        return {
-            "sentences": self.sentences,
-            "mean_words": self.mean_words,
-            "std_words": self.std_words,
-            "mean_chars": self.mean_chars,
-            "std_chars": self.std_chars,
-            "vocab_size": self.vocab_size,
-        }
-
 
 @dataclass(frozen=True)
 class CorpusStats:
@@ -194,15 +178,7 @@ class CorpusStats:
     side_b: SideStats
     overlapping_vocab: int
     empty: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "side_a": self.side_a.to_dict(),
-            "side_b": self.side_b.to_dict(),
-            "overlapping_vocab": self.overlapping_vocab,
-            "empty": self.empty,
-            "std_kind": "population",
-        }
+    std_kind: str = field(default="population", init=False)
 
 
 def _side_stats(sentences: list[Sentence]) -> tuple[SideStats, set[str]]:

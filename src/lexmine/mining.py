@@ -13,7 +13,7 @@ import multiprocessing
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dictionary import BilingualDictionary
 from .errors import InputError, ParseError
@@ -55,14 +55,6 @@ class MiningConfig:
         if self.trigram_cap < 1:
             raise InputError(f"trigram_cap must be >= 1, got {self.trigram_cap}")
 
-    def to_dict(self) -> dict:
-        return {
-            "align_threshold": self.align_threshold,
-            "trigram_top_k": self.trigram_top_k,
-            "trigram_cap": self.trigram_cap,
-            "one_to_one": self.one_to_one,
-        }
-
 
 def normalize_title(title: str) -> str:
     """Lowercase, strip punctuation/symbols, collapse whitespace."""
@@ -94,7 +86,8 @@ def align_documents(src_docs: list[Document], tgt_docs: list[Document]
 
 
 def align_sentences(pair: tuple[Document, Document], dictionary: BilingualDictionary,
-                    cfg: MiningConfig) -> list[AlignedPair]:
+                    cfg: MiningConfig, src_sentences: list[Sentence] | None = None
+                    ) -> list[AlignedPair]:
     """Best-target sentence alignment inside one document pair.
 
     Each source sentence is translated word-to-word, scored against every
@@ -102,9 +95,12 @@ def align_sentences(pair: tuple[Document, Document], dictionary: BilingualDictio
     its highest-scoring target (ties: earliest target). Pairs below the
     threshold are dropped; with one_to_one, surviving pairs are deduped
     greedily by descending score so each target is used once.
+    `src_sentences` is the source document already split, when the caller
+    has split it.
     """
     src_doc, tgt_doc = pair
-    src_sentences = split_sentences(src_doc.text)
+    if src_sentences is None:
+        src_sentences = split_sentences(src_doc.text)
     tgt_sentences = split_sentences(tgt_doc.text)
     if not src_sentences or not tgt_sentences:
         return []
@@ -191,8 +187,11 @@ def _init_worker(dictionary: BilingualDictionary, cfg: MiningConfig) -> None:
     _WORKER_STATE["cfg"] = cfg
 
 
-def _align_pair_task(pair: tuple[Document, Document]) -> list[AlignedPair]:
-    return align_sentences(pair, _WORKER_STATE["dictionary"], _WORKER_STATE["cfg"])
+def _align_pair_task(task: tuple[tuple[Document, Document], list[Sentence]]
+                     ) -> list[AlignedPair]:
+    pair, src_sentences = task
+    return align_sentences(pair, _WORKER_STATE["dictionary"], _WORKER_STATE["cfg"],
+                           src_sentences)
 
 
 @dataclass
@@ -203,18 +202,6 @@ class MiningStats:
     source_sentences: int = 0
     aligned_pairs: int = 0
     final_pairs: int = 0
-    config: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "source_documents": self.source_documents,
-            "target_documents": self.target_documents,
-            "document_pairs": self.document_pairs,
-            "source_sentences": self.source_sentences,
-            "aligned_pairs": self.aligned_pairs,
-            "final_pairs": self.final_pairs,
-            "config": self.config,
-        }
 
 
 def mine(src_docs: list[Document], tgt_docs: list[Document],
@@ -227,21 +214,23 @@ def mine(src_docs: list[Document], tgt_docs: list[Document],
     there are document pairs or CPUs. `apply_filter=False` stops after
     thresholding.
     """
-    stats = MiningStats(config=cfg.to_dict())
+    stats = MiningStats()
     stats.source_documents = len(src_docs)
     stats.target_documents = len(tgt_docs)
 
     doc_pairs = align_documents(src_docs, tgt_docs)
     stats.document_pairs = len(doc_pairs)
-    stats.source_sentences = sum(len(split_sentences(src.text)) for src, _ in doc_pairs)
+    tasks = [(pair, split_sentences(pair[0].text)) for pair in doc_pairs]
+    stats.source_sentences = sum(len(src_sentences) for _, src_sentences in tasks)
 
     workers = min(jobs, len(doc_pairs), os.cpu_count() or 1)
     if workers > 1:
         with multiprocessing.Pool(workers, initializer=_init_worker,
                                   initargs=(dictionary, cfg)) as pool:
-            per_pair = pool.map(_align_pair_task, doc_pairs, chunksize=8)
+            per_pair = pool.map(_align_pair_task, tasks, chunksize=8)
     else:
-        per_pair = [align_sentences(p, dictionary, cfg) for p in doc_pairs]
+        per_pair = [align_sentences(pair, dictionary, cfg, src_sentences)
+                    for pair, src_sentences in tasks]
 
     aligned = [pair for chunk in per_pair for pair in chunk]
     stats.aligned_pairs = len(aligned)
@@ -299,6 +288,9 @@ def read_corpus(path) -> list[AlignedPair]:
             raise ParseError(path, line_no,
                              f"expected 4 tab-separated columns, got {len(columns)}")
         source, target, score_text, doc_id = columns
+        for side, text in (("source", source), ("target", target)):
+            if not text.strip():
+                raise ParseError(path, line_no, f"empty {side} sentence")
         try:
             score = float(score_text)
         except ValueError:

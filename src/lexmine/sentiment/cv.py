@@ -148,19 +148,6 @@ class CvConfig:
         if self.algorithm not in ("nb", "lr"):
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "folds": self.folds,
-            "ratios": list(self.ratios),
-            "seed": self.seed,
-            "bpe_vocab_size": self.bpe_vocab_size,
-            "nb_alpha_grid": list(self.nb_alpha_grid),
-            "lr_epoch_grid": list(self.lr_epoch_grid),
-            "lr_l2_grid": list(self.lr_l2_grid),
-            "lr_learning_rate": self.lr_learning_rate,
-        }
-
 
 @dataclass
 class FoldResult:
@@ -172,17 +159,6 @@ class FoldResult:
     sizes: dict
     grid_trace: list[dict] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "fold": self.fold,
-            "chosen": self.chosen,
-            "dev_f1": self.dev_f1,
-            "f1_positive": self.f1_positive,
-            "f1_macro": self.f1_macro,
-            "sizes": self.sizes,
-            "grid_trace": self.grid_trace,
-        }
-
 
 @dataclass
 class CvReport:
@@ -191,15 +167,6 @@ class CvReport:
     folds: list[FoldResult]
     mean_f1_positive: float
     mean_f1_macro: float
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "config": self.config.to_dict(),
-            "folds": [f.to_dict() for f in self.folds],
-            "mean_f1_positive": self.mean_f1_positive,
-            "mean_f1_macro": self.mean_f1_macro,
-        }
 
 
 def _tune_nb(train_data, dev_features, dev_labels, config):

@@ -17,7 +17,10 @@ from .textproc import Token, is_punctuation, tokenize
 class TranslationResult:
     tokens: list[Token]
     oov_count: int
-    total_count: int  # == len(tokens)
+
+    @property
+    def total_count(self) -> int:
+        return len(self.tokens)
 
     @property
     def text(self) -> str:
@@ -62,7 +65,7 @@ def translate_tokens(dictionary: BilingualDictionary, tokens: list[Token]) -> Tr
         else:
             out.append(lowered)
             oov += 1
-    return TranslationResult(out, oov, len(out))
+    return TranslationResult(out, oov)
 
 
 def translate_text(dictionary: BilingualDictionary, text: str) -> TranslationResult:

@@ -9,10 +9,12 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import lexmine
+from lexmine import cli
 from lexmine.cli import run
+from lexmine.metrics import bleu
 
 POEM = "Satu dua tiga. Ampek limo anam."
 
@@ -254,6 +256,18 @@ class TestConfigPrecedence:
         assert "run.cfg:1" in capsys.readouterr().err
 
 
+def render_docs(path, prefix, docs):
+    """One JSONL document per entry; each sentence is a list of lowercase words."""
+    return write_docs(path, [
+        {"id": f"{prefix}{i}", "title": f"T{i}",
+         "text": " ".join(" ".join(words).capitalize() + "." for words in sentences)}
+        for i, sentences in enumerate(docs)])
+
+
+sentences_st = st.lists(st.lists(st.sampled_from(list("abcxyz")), min_size=1, max_size=6),
+                        min_size=1, max_size=3)
+
+
 class TestMine:
     def test_docs_pairing(self, tmp_path, capsys):
         src, tgt, _ = identity_docs(tmp_path)
@@ -322,6 +336,34 @@ class TestMine:
         assert (tmp_path / "corpus.tsv.manifest.json").read_bytes() == serial_manifest
         capsys.readouterr()
 
+    @settings(max_examples=40, deadline=None)
+    @given(docs=st.lists(st.tuples(sentences_st, sentences_st), min_size=1, max_size=4),
+           threshold=st.sampled_from(["0", "0.3", "0.5"]),
+           pairing=st.sampled_from(["--one-to-one", "--many-to-one"]),
+           top=st.sampled_from(["1", "3", "1000"]))
+    # two scores of exactly 4/7, from 2 of 3 tokens against 4 and 4 of 7
+    # against 7, share the over-cap trigram "a b ."
+    @example(docs=[([["a", "b"]], [["a", "x", "y"]]),
+                   ([["c", "d", "e", "f", "a", "b"]], [["c", "d", "e", "x", "y", "z"]])],
+             threshold="0.5", pairing="--one-to-one", top="1000")
+    def test_all_equals_sents_then_filter(self, docs, threshold, pairing, top):
+        # the filter ranks victims by score; %.6f rounding in the sents file
+        # must not change that order, including exact ties
+        with tempfile.TemporaryDirectory() as scratch:
+            scratch = Path(scratch)
+            src = render_docs(scratch / "src.jsonl", "s", [s for s, _ in docs])
+            tgt = render_docs(scratch / "tgt.jsonl", "t", [t for _, t in docs])
+            d = write(scratch / "dict.tsv", "a\ta\n")
+            common = ["--src", src, "--tgt", tgt, "--dict", d, "--threshold", threshold,
+                      pairing]
+            trigram = ["--trigram-top", top, "--trigram-cap", "1"]
+            mined, sents, kept = scratch / "all.tsv", scratch / "sents.tsv", scratch / "kept.tsv"
+            assert run(["mine", "all", *common, *trigram, "--out", str(mined)]) == 0
+            assert run(["mine", "sents", *common, "--out", str(sents)]) == 0
+            assert run(["mine", "filter", "--in", str(sents), *trigram,
+                        "--out", str(kept)]) == 0
+            assert kept.read_bytes() == mined.read_bytes()
+
 
 class TestEval:
     def test_bleu_self_comparison(self, tmp_path, capsys):
@@ -350,6 +392,24 @@ class TestEval:
                     "--lowercase"]) == 0
         assert capsys.readouterr().out.strip() == "bleu 100.00"
 
+    def test_bleu_lowercases_tokens_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def recording_bleu(hypotheses, references, lowercase=False):
+            calls.append((hypotheses, references, lowercase))
+            return bleu(hypotheses, references, lowercase=lowercase)
+
+        monkeypatch.setattr(cli, "bleu", recording_bleu)
+        hyp = write(tmp_path / "h.txt", "SATU Dua\n")
+        ref = write(tmp_path / "r.txt", "satu dua\n")
+        out = tmp_path / "bleu.json"
+        assert run(["eval", "bleu", "--hyp", hyp, "--ref", ref, "--lowercase",
+                    "--out", str(out)]) == 0
+        # the tokens reach bleu as read; bleu lowercases them
+        assert calls == [([["SATU", "Dua"]], [["satu", "dua"]], True)]
+        assert json.loads(out.read_text())["lowercased"] is True
+        capsys.readouterr()
+
     def test_bleu_no_tokenize_splits_on_spaces(self, tmp_path, capsys):
         # with tokenization "x." matches "x ."; pre-tokenized it does not
         hyp = write(tmp_path / "h.txt", "satu dua tiga ampek x.\n")
@@ -371,6 +431,14 @@ class TestEval:
         hyp = write(tmp_path / "h.txt", "a b c\n")
         ref = write(tmp_path / "r.txt", "a b d\n")
         assert run(["eval", "rouge", "--hyp", hyp, "--ref", ref]) == 0
+        assert capsys.readouterr().out.strip() == "rouge1_f1 0.6667"
+
+    def test_rouge_lowercase_flag(self, tmp_path, capsys):
+        hyp = write(tmp_path / "h.txt", "A B c\n")
+        ref = write(tmp_path / "r.txt", "a b d\n")
+        assert run(["eval", "rouge", "--hyp", hyp, "--ref", ref]) == 0
+        assert capsys.readouterr().out.strip() == "rouge1_f1 0.0000"
+        assert run(["eval", "rouge", "--hyp", hyp, "--ref", ref, "--lowercase"]) == 0
         assert capsys.readouterr().out.strip() == "rouge1_f1 0.6667"
 
     def test_stats_from_corpus(self, tmp_path, capsys):
@@ -524,6 +592,86 @@ class TestManifestHygiene:
         capsys.readouterr()
 
 
+def key_paths(payload, prefix=""):
+    """Dotted paths of every key in a JSON object; lists of objects as `name[]`."""
+    paths = set()
+    for key, value in payload.items():
+        path = prefix + key
+        if isinstance(value, dict):
+            paths |= key_paths(value, path + ".")
+        elif isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
+            for item in value:
+                paths |= key_paths(item, path + "[].")
+        else:
+            paths.add(path)
+    return paths
+
+
+ENVELOPE = {"command", "config", "counts", "inputs", "outputs", "schema_version", "tool",
+            "version"}
+MINING_CONFIG = {"align_threshold", "one_to_one", "trigram_cap", "trigram_top_k"}
+MINING_COUNTS = {"aligned_pairs", "document_pairs", "final_pairs", "source_documents",
+                 "source_sentences", "target_documents"}
+OOV_SUMMARY = {"oov_rate", "oov_tokens", "sentences", "total_tokens", "zero_denominator"}
+SIDE_STATS = {"mean_chars", "mean_words", "sentences", "std_chars", "std_words", "vocab_size"}
+CV_CONFIG = {"algorithm", "bpe_vocab_size", "folds", "lr_epoch_grid", "lr_l2_grid",
+             "lr_learning_rate", "nb_alpha_grid", "ratios", "seed"}
+CV_FOLD = {"fold", "dev_f1", "f1_macro", "f1_positive", "chosen.alpha", "sizes.train",
+           "sizes.dev", "sizes.test", "grid_trace[].dev_f1", "grid_trace[].params.alpha"}
+
+# command -> (manifest config keys, manifest counts keys, key paths of the
+# JSON report: at --out, or at <out>.oov.json for w2w; None when --out is
+# not JSON)
+RECORD_SCHEMA = {
+    "dict build": ({"direction"}, {"entries"}, None),
+    "dict filter": ({"lexicon"}, {"entries_after", "entries_before", "lexicon_words"}, None),
+    "dict invert": ({"direction"}, {"entries_after", "entries_before"}, None),
+    "dict stats": (set(), {"entries"},
+                   {"direction", "entries", "identical_entries", "identity_ratio",
+                    "targets_with_multiple_sources"}),
+    "w2w": ({"max_len"}, OOV_SUMMARY, OOV_SUMMARY),
+    "mine docs": (set(), {"document_pairs", "source_documents", "target_documents"}, None),
+    "mine sents": (MINING_CONFIG, MINING_COUNTS, None),
+    "mine filter": ({"trigram_cap", "trigram_top_k"}, {"pairs_after", "pairs_before"}, None),
+    "mine all": (MINING_CONFIG, MINING_COUNTS, None),
+    "eval bleu": ({"lowercase", "no_tokenize"}, {"segments"},
+                  {"bleu", "bp", "hyp_len", "lowercased", "precisions", "ref_len",
+                   "zero_length"}),
+    "eval rouge": ({"lowercase"}, {"segments"},
+                   {"lines", "lowercased", "mean_f1", "mean_precision", "mean_recall"}),
+    "eval stats": (set(), {"sentences_a", "sentences_b"},
+                   {"empty", "overlapping_vocab", "std_kind",
+                    *(f"side_{side}.{key}" for side in "ab" for key in SIDE_STATS)}),
+    "eval judge": (set(), {"items"}, {"items", "mean_score", "pearson", "pearson_defined"}),
+    "sent bpe": ({"vocab_size"}, {"lines", "merges"}, {"merges", "vocab_size"}),
+    "sent cv": ({"mode", *CV_CONFIG}, {"folds", "rows"},
+                {"mode", "mean_f1_macro", "mean_f1_positive",
+                 *(f"config.{key}" for key in CV_CONFIG),
+                 *(f"folds[].{key}" for key in CV_FOLD)}),
+}
+
+
+class TestRecordSchema:
+    """Every JSON record's keys, pinned: a renamed or added field fails here."""
+
+    def test_covers_every_command(self):
+        assert sorted(RECORD_SCHEMA) == sorted(COMMANDS)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_record_keys(self, tmp_path, capsys, command):
+        config_keys, counts_keys, report_paths = RECORD_SCHEMA[command]
+        assert run(command_argv(command, tmp_path)) == 0
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        envelope = ENVELOPE | ({"seed"} if command == "sent cv" else set())
+        assert set(manifest) == envelope
+        assert set(manifest["config"]) == config_keys
+        assert set(manifest["counts"]) == counts_keys
+        if report_paths is not None:
+            report = tmp_path / ("out.oov.json" if command == "w2w" else "out")
+            assert key_paths(json.loads(report.read_text())) == report_paths
+        capsys.readouterr()
+
+
 class TestInputRobustness:
     def test_non_utf8_input_is_one_line_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -535,6 +683,13 @@ class TestInputRobustness:
                      ["sent", "cv", "--data", bad, "--mode", "train-tgt/test-tgt"]):
             assert run(argv) == 1
             assert capsys.readouterr().err == f"lexmine: {bad}:2: not valid UTF-8\n"
+
+    def test_empty_corpus_column_names_the_line(self, tmp_path, capsys):
+        corpus = write(tmp_path / "corpus.tsv", "\tX y.\t0.5\td1\n")
+        for argv in (["mine", "filter", "--in", corpus, "--out", str(tmp_path / "f.tsv")],
+                     ["eval", "stats", "--corpus", corpus]):
+            assert run(argv) == 1
+            assert capsys.readouterr().err == f"lexmine: {corpus}:1: empty source sentence\n"
 
     def test_non_object_document_line(self, tmp_path, capsys):
         _, tgt, d = identity_docs(tmp_path)

@@ -1,0 +1,41 @@
+"""Public names and the benchmark tracer's targets resolve in the package."""
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import lexmine
+import lexmine.sentiment
+
+TRACER = Path(__file__).resolve().parents[1] / "lexbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("lexbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("package", [lexmine, lexmine.sentiment])
+def test_every_exported_name_resolves(package):
+    missing = [name for name in package.__all__ if not hasattr(package, name)]
+    assert missing == []
+
+
+def test_tracer_targets_resolve():
+    # the tracer skips a name the library no longer defines, and its
+    # per-layer metric then reads 0 instead of failing
+    tracer = load_tracer()
+    missing = []
+    for span, (module_name, attr) in tracer.SPANS.items():
+        if not callable(getattr(importlib.import_module(module_name), attr, None)):
+            missing.append(span)
+    for counter, (module_name, cls_name, attr) in tracer.COUNTED.items():
+        cls = getattr(importlib.import_module(module_name), cls_name, None)
+        if not callable(getattr(cls, attr, None)):
+            missing.append(counter)
+    assert missing == []

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -307,7 +308,7 @@ class TestCorpusStats:
         assert stats.overlapping_vocab == 0
 
     def test_to_dict_labels_std(self):
-        payload = corpus_stats([], []).to_dict()
+        payload = asdict(corpus_stats([], []))
         assert payload["std_kind"] == "population"
 
     @given(st.lists(st.lists(token_st, min_size=1, max_size=6), min_size=1, max_size=6),

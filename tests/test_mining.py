@@ -22,7 +22,7 @@ from lexmine.mining import (
     read_documents,
     write_corpus,
 )
-from lexmine.textproc import Sentence
+from lexmine.textproc import Sentence, split_sentences
 
 IDENTITY_WORDS = ["a", "b", "c", "d", "e"]
 IDENTITY_DICT = parse_dictionary([f"{w}\t{w}" for w in IDENTITY_WORDS])
@@ -108,6 +108,16 @@ class TestAlignSentences:
         aligned = align_sentences(pair, IDENTITY_DICT, MiningConfig())
         assert len(aligned) == 1
         assert aligned[0].target_sentence.text == "A b!"
+
+    def test_exact_fraction_tie_prefers_earliest_target(self):
+        # both targets score exactly 1/3: 2 of 5 source tokens against 7
+        # target tokens, and 1 of 5 against 1; F1 computed as 2PR/(P+R)
+        # would round the two to different floats
+        pair = (Document("s", "T", "P q r s."), Document("t", "T", "P q v w x y! S"))
+        aligned = align_sentences(pair, parse_dictionary([]),
+                                  MiningConfig(align_threshold=0.3))
+        assert [ap.target_sentence.text for ap in aligned] == ["P q v w x y!"]
+        assert aligned[0].score == 1 / 3
 
     def test_one_to_one_keeps_best_per_target(self):
         pair = (Document("s", "T", "A b c d e. A b c."),
@@ -272,6 +282,20 @@ class TestMine:
         assert requested == expected
         assert len(pairs) == doc_pairs
 
+    def test_splits_each_document_once(self, monkeypatch):
+        split_texts = []
+
+        def recording_split(text):
+            split_texts.append(text)
+            return split_sentences(text)
+
+        monkeypatch.setattr(mining, "split_sentences", recording_split)
+        src = [Document(f"s{i}", f"T{i}", "A b. C d.") for i in range(3)]
+        tgt = [Document(f"t{i}", f"t{i}", "A b.") for i in range(3)]
+        _, stats = mine(src, tgt, IDENTITY_DICT, MiningConfig())
+        assert sorted(split_texts) == ["A b."] * 3 + ["A b. C d."] * 3
+        assert stats.source_sentences == 6
+
     def test_filter_can_be_skipped(self):
         src = [Document(f"s{i}", f"T{i}", "A b c.") for i in range(150)]
         tgt = [Document(f"t{i}", f"t{i}", "A b c.") for i in range(150)]
@@ -334,6 +358,15 @@ class TestFileFormats:
         with open(path, "w", encoding="utf-8") as handle:
             write_corpus(pairs, handle)
         assert read_corpus(path) == pairs
+
+    @pytest.mark.parametrize("row, side", [("\tX y.\t0.5\td1\n", "source"),
+                                           ("A b.\t \t0.5\td1\n", "target")])
+    def test_read_corpus_empty_sentence(self, tmp_path, row, side):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("A.\tB.\t0.5\td0\n" + row, encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_corpus(path)
+        assert str(err.value) == f"{path}:2: empty {side} sentence"
 
     def test_read_corpus_bad_column_count(self, tmp_path):
         path = tmp_path / "corpus.tsv"

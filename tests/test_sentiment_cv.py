@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,7 +155,7 @@ class TestCvConfig:
 
     def test_to_dict_round_trips_values(self):
         cfg = CvConfig(algorithm="lr", bpe_vocab_size=300)
-        payload = cfg.to_dict()
+        payload = json.loads(json.dumps(asdict(cfg)))
         assert payload["algorithm"] == "lr"
         assert payload["bpe_vocab_size"] == 300
         assert payload["ratios"] == [0.7, 0.1, 0.2]
@@ -186,7 +187,7 @@ class TestCrossValidate:
         rows = keyword_corpus(30)
         a = cross_validate(rows, self.config(), "train-tgt/test-tgt")
         b = cross_validate(rows, self.config(), "train-tgt/test-tgt")
-        assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
+        assert json.dumps(asdict(a)) == json.dumps(asdict(b))
 
     def test_mean_is_average_of_folds(self):
         rows = keyword_corpus(30)
