@@ -250,10 +250,12 @@ def _cmd_mine_docs(args) -> int:
 
 
 def _run_mining(args, apply_filter: bool) -> int:
-    cfg = _resolve(args, _mining_spec())
+    # without the filter (mine sents) no trigram setting is resolved or recorded
+    cfg = _resolve(args, [row for row in _mining_spec()
+                          if apply_filter or not row[0].startswith("trigram_")])
     mining_cfg = MiningConfig(align_threshold=cfg["threshold"],
-                              trigram_top_k=cfg["trigram_top"],
-                              trigram_cap=cfg["trigram_cap"],
+                              trigram_top_k=cfg.get("trigram_top", MiningConfig.trigram_top_k),
+                              trigram_cap=cfg.get("trigram_cap", MiningConfig.trigram_cap),
                               one_to_one=cfg["one_to_one"])
     jobs = cfg["jobs"]
     if jobs < 1:
@@ -269,9 +271,11 @@ def _run_mining(args, apply_filter: bool) -> int:
     print(f"paired {stats.document_pairs} documents, "
           f"aligned {stats.aligned_pairs} sentence pairs, "
           f"kept {stats.final_pairs}", file=sys.stderr)
+    config = asdict(mining_cfg)
+    if not apply_filter:
+        config = {key: config[key] for key in ("align_threshold", "one_to_one")}
     # jobs stays out of the manifest: output is identical for any worker count
-    return _finish(args, asdict(mining_cfg), [args.src, args.tgt, args.dict], asdict(stats),
-                   [args.out])
+    return _finish(args, config, [args.src, args.tgt, args.dict], asdict(stats), [args.out])
 
 
 def _cmd_mine_sents(args) -> int:

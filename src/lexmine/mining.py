@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .dictionary import BilingualDictionary
 from .errors import InputError, ParseError
 from .manifest import read_lines
-from .metrics import rouge1_f1
 from .textproc import Sentence, is_punctuation, ngrams, normalize, split_sentences
 from .w2w import translate_tokens
 
@@ -90,13 +89,19 @@ def align_sentences(pair: tuple[Document, Document], dictionary: BilingualDictio
                     ) -> list[AlignedPair]:
     """Best-target sentence alignment inside one document pair.
 
-    Each source sentence is translated word-to-word, scored against every
-    target sentence with ROUGE-1 F1 over lowercased tokens, and assigned
-    its highest-scoring target (ties: earliest target). Pairs below the
-    threshold are dropped; with one_to_one, surviving pairs are deduped
-    greedily by descending score so each target is used once.
-    `src_sentences` is the source document already split, when the caller
-    has split it.
+    Each source sentence is translated word-to-word and assigned its
+    highest-scoring target sentence by ROUGE-1 F1 over lowercased target
+    tokens (ties: earliest target). The scores come from one postings
+    index per document pair, mapping each target word to its
+    (target index, count) entries: a source sentence walks only the
+    postings of its own word types, summing the clipped overlap
+    min(source count, target count) per target, and scores each target as
+    `2 * overlap / (len(translated) + len(target))`, or 0.0 without
+    overlap. That is the same float `metrics.rouge1_f1` gives for every
+    pair. Pairs below the threshold are dropped; with one_to_one,
+    surviving pairs are deduped greedily by descending score so each
+    target is used once. `src_sentences` is the source document already
+    split, when the caller has split it.
     """
     src_doc, tgt_doc = pair
     if src_sentences is None:
@@ -105,16 +110,29 @@ def align_sentences(pair: tuple[Document, Document], dictionary: BilingualDictio
     if not src_sentences or not tgt_sentences:
         return []
 
-    tgt_tokens = [normalize(s.tokens()) for s in tgt_sentences]
+    postings: dict[str, list[tuple[int, int]]] = {}
+    tgt_lengths = []
+    for j, tgt_sentence in enumerate(tgt_sentences):
+        tokens = normalize(tgt_sentence.tokens())
+        tgt_lengths.append(len(tokens))
+        for word, count in Counter(tokens).items():
+            postings.setdefault(word, []).append((j, count))
+
     candidates: list[tuple[float, int, int]] = []  # (score, src_idx, tgt_idx)
     for i, src_sentence in enumerate(src_sentences):
         translated = translate_tokens(dictionary, src_sentence.tokens()).tokens
-        best_score, best_j = -1.0, -1
-        for j, ref in enumerate(tgt_tokens):
-            score = rouge1_f1(translated, ref).f1
+        overlap: dict[int, int] = {}
+        for word, count in Counter(translated).items():
+            for j, tgt_count in postings.get(word, ()):
+                overlap[j] = overlap.get(j, 0) + min(count, tgt_count)
+        # every target without overlap scores 0.0, so target 0 wins unless
+        # one scores higher; strict > in target order keeps the earliest tie
+        best_score, best_j = 0.0, 0
+        for j in sorted(overlap):
+            score = 2 * overlap[j] / (len(translated) + tgt_lengths[j])
             if score > best_score:
                 best_score, best_j = score, j
-        if best_j >= 0 and best_score >= cfg.align_threshold:
+        if best_score >= cfg.align_threshold:
             candidates.append((best_score, i, best_j))
 
     if cfg.one_to_one:

@@ -306,6 +306,19 @@ class TestMine:
         assert len(unfiltered.read_text().splitlines()) == 150
         capsys.readouterr()
 
+    def test_sents_records_no_trigram_setting(self, tmp_path, capsys):
+        # mine sents never filters: a config file's trigram keys are ignored
+        # and stay out of its manifest, which records only what it applies
+        src, tgt, d = identity_docs(tmp_path)
+        cfg = write(tmp_path / "run.cfg", "trigram_cap=1\ntrigram_top=5\nthreshold=0.25\n")
+        out = tmp_path / "corpus.tsv"
+        assert run(["mine", "sents", "--src", src, "--tgt", tgt, "--dict", d,
+                    "--config", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "corpus.tsv.manifest.json").read_text())
+        assert manifest["config"] == {"align_threshold": 0.25, "one_to_one": True}
+        assert len(out.read_text().splitlines()) == 4
+        capsys.readouterr()
+
     def test_threshold_flag(self, tmp_path, capsys):
         src, tgt, d = identity_docs(tmp_path)
         out = tmp_path / "corpus.tsv"
@@ -631,7 +644,7 @@ RECORD_SCHEMA = {
                     "targets_with_multiple_sources"}),
     "w2w": ({"max_len"}, OOV_SUMMARY, OOV_SUMMARY),
     "mine docs": (set(), {"document_pairs", "source_documents", "target_documents"}, None),
-    "mine sents": (MINING_CONFIG, MINING_COUNTS, None),
+    "mine sents": ({"align_threshold", "one_to_one"}, MINING_COUNTS, None),
     "mine filter": ({"trigram_cap", "trigram_top_k"}, {"pairs_after", "pairs_before"}, None),
     "mine all": (MINING_CONFIG, MINING_COUNTS, None),
     "eval bleu": ({"lowercase", "no_tokenize"}, {"segments"},
@@ -672,6 +685,19 @@ class TestRecordSchema:
         capsys.readouterr()
 
 
+# junk text: separators, comment marks, JSON fragments, numbers and
+# non-ASCII text; junk config files also set real keys to junk values
+JUNK_PIECES = ["\t", "|", "#", "=", "\n", " ", "{", "}", "[", "]", '"', ":", ",", "null",
+               '{"id": 1, "title": "T", "text": "A b."}', "0", "42", "-3.5", "nan", "inf",
+               "a", "B", ".", "é", "Ünï", "漢字", "😀", "positive"]
+SETTING_NAMES = ["direction", "max_len", "threshold", "trigram_top", "trigram_cap",
+                 "one_to_one", "jobs", "lowercase", "no_tokenize", "vocab_size", "algorithm",
+                 "folds", "ratios", "seed"]
+junk_st = st.lists(st.sampled_from(JUNK_PIECES), max_size=30).map("".join)
+junk_config_st = st.lists(st.tuples(st.sampled_from(SETTING_NAMES), junk_st), max_size=4).map(
+    lambda rows: "\n".join(f"{key}={value}" for key, value in rows))
+
+
 class TestInputRobustness:
     def test_non_utf8_input_is_one_line_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -697,6 +723,20 @@ class TestInputRobustness:
         assert run(["mine", "all", "--src", src, "--tgt", tgt, "--dict", d,
                     "--out", str(tmp_path / "corpus.tsv")]) == 1
         assert capsys.readouterr().err == f"lexmine: {src}:1: expected a JSON object\n"
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=junk_st, config=st.one_of(junk_st, junk_config_st))
+    def test_junk_files_exit_cleanly(self, data, config):
+        # every command, with each input file and its --config file replaced
+        # by junk, ends with a status (no exception escapes `run`)
+        with tempfile.TemporaryDirectory() as scratch:
+            scratch = Path(scratch)
+            for command in COMMANDS:
+                argv = command_argv(command, scratch)
+                for path in scratch.iterdir():
+                    path.write_text(data, encoding="utf-8")
+                cfg = write(scratch / "junk.cfg", config)
+                assert run(argv + ["--config", cfg]) in (0, 1, 2), command
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -5,10 +5,12 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lexmine import mining
 from lexmine.dictionary import parse_dictionary
 from lexmine.errors import InputError, ParseError
+from lexmine.metrics import rouge1_f1
 from lexmine.mining import (
     AlignedPair,
     Document,
@@ -22,7 +24,8 @@ from lexmine.mining import (
     read_documents,
     write_corpus,
 )
-from lexmine.textproc import Sentence, split_sentences
+from lexmine.textproc import Sentence, normalize, split_sentences
+from lexmine.w2w import translate_tokens
 
 IDENTITY_WORDS = ["a", "b", "c", "d", "e"]
 IDENTITY_DICT = parse_dictionary([f"{w}\t{w}" for w in IDENTITY_WORDS])
@@ -141,6 +144,74 @@ class TestAlignSentences:
     def test_empty_side_yields_nothing(self):
         pair = (Document("s", "T", ""), Document("t", "T", "A b."))
         assert align_sentences(pair, IDENTITY_DICT, MiningConfig()) == []
+
+
+def oracle_align(pair, dictionary, cfg):
+    """The per-pair reference: `rouge1_f1` for every (source, target) pair.
+
+    Returns (source text, target text, score) rows.
+    """
+    src_sentences = split_sentences(pair[0].text)
+    tgt_sentences = split_sentences(pair[1].text)
+    if not src_sentences or not tgt_sentences:
+        return []
+    tgt_tokens = [normalize(s.tokens()) for s in tgt_sentences]
+    candidates = []
+    for i, src_sentence in enumerate(src_sentences):
+        translated = translate_tokens(dictionary, src_sentence.tokens()).tokens
+        best_score, best_j = -1.0, -1
+        for j, ref in enumerate(tgt_tokens):
+            score = rouge1_f1(translated, ref).f1
+            if score > best_score:
+                best_score, best_j = score, j
+        if best_j >= 0 and best_score >= cfg.align_threshold:
+            candidates.append((best_score, i, best_j))
+    if cfg.one_to_one:
+        taken, kept = set(), []
+        for score, i, j in sorted(candidates, key=lambda c: (-c[0], c[1])):
+            if j not in taken:
+                taken.add(j)
+                kept.append((score, i, j))
+        candidates = sorted(kept, key=lambda c: c[1])
+    return [(src_sentences[i].text, tgt_sentences[j].text, score)
+            for score, i, j in candidates]
+
+
+# few word types, mixed case and a dictionary that merges words, so tokens
+# repeat within and across sentences and scores tie; a capitalized first
+# word lets each sentence split off
+ORACLE_DICT = parse_dictionary(["a\tx", "b\tb", "c\tx", "q\tq"])
+oracle_sentence_st = st.tuples(
+    st.lists(st.sampled_from(["a", "b", "c", "x", "q", "B", "X", "z"]), min_size=1, max_size=6),
+    st.sampled_from([".", "!", "?"]),
+).map(lambda s: " ".join([s[0][0].capitalize(), *s[0][1:]]) + s[1])
+oracle_doc_st = st.lists(oracle_sentence_st, max_size=7).map(" ".join)
+ZERO_OVERLAP_SRC = "Z z? Z z! A b."
+ZERO_OVERLAP_TGT = "X q. B x."
+
+
+class TestAlignSentencesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(src=oracle_doc_st, tgt=oracle_doc_st,
+           threshold=st.sampled_from([0.0, 0.3, 0.5]), one_to_one=st.booleans())
+    # threshold 0: the first two source sentences share no token with any
+    # target, so both score 0.0 against target 0; under one_to_one the
+    # first keeps it and the second loses it
+    @example(src=ZERO_OVERLAP_SRC, tgt=ZERO_OVERLAP_TGT, threshold=0.0, one_to_one=True)
+    @example(src=ZERO_OVERLAP_SRC, tgt=ZERO_OVERLAP_TGT, threshold=0.0, one_to_one=False)
+    def test_equals_rouge1_loop(self, src, tgt, threshold, one_to_one):
+        pair = (Document("s", "T", src), Document("t", "T", tgt))
+        cfg = MiningConfig(align_threshold=threshold, one_to_one=one_to_one)
+        got = [(ap.source_sentence.text, ap.target_sentence.text, ap.score)
+               for ap in align_sentences(pair, ORACLE_DICT, cfg)]
+        assert got == oracle_align(pair, ORACLE_DICT, cfg)
+        assert all(type(score) is float for _, _, score in got)
+
+    def test_zero_overlap_keeps_target_zero_at_threshold_zero(self):
+        pair = (Document("s", "T", ZERO_OVERLAP_SRC), Document("t", "T", ZERO_OVERLAP_TGT))
+        got = [(ap.source_sentence.text, ap.target_sentence.text, ap.score)
+               for ap in align_sentences(pair, ORACLE_DICT, MiningConfig(align_threshold=0.0))]
+        assert got == [("Z z?", "X q.", 0.0), ("A b.", "B x.", 1.0)]
 
 
 class TestMiningConfig:
