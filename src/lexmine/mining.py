@@ -8,6 +8,7 @@ work units so the whole run is reproducible at any worker count.
 """
 from __future__ import annotations
 
+import heapq
 import json
 import multiprocessing
 import os
@@ -163,15 +164,19 @@ def diversity_filter(pairs: list[AlignedPair], cfg: MiningConfig) -> list[Aligne
     occurrence = Counter()
     for trigrams in trigram_sets:
         occurrence.update(trigrams)
-    top = sorted(occurrence.items(), key=lambda item: (-item[1], item[0]))[: cfg.trigram_top_k]
+    # the keys are unique, so the heap's top K equal sorted(...)[:K]
+    top = heapq.nsmallest(cfg.trigram_top_k, occurrence.items(),
+                          key=lambda item: (-item[1], item[0]))
     watched = {tri for tri, _ in top}
     if not watched:
         return list(pairs)
+    # from here on a sentence matters only through its watched trigrams
+    trigram_sets = [trigrams & watched for trigrams in trigram_sets]
 
     alive = [True] * len(pairs)
     members: dict[tuple, list[int]] = {tri: [] for tri in watched}
     for idx, trigrams in enumerate(trigram_sets):
-        for tri in trigrams & watched:
+        for tri in trigrams:
             members[tri].append(idx)
     counts = {tri: len(idxs) for tri, idxs in members.items()}
 
@@ -189,7 +194,7 @@ def diversity_filter(pairs: list[AlignedPair], cfg: MiningConfig) -> list[Aligne
         to_remove = counts[worst] - cfg.trigram_cap
         for idx in victims[:to_remove]:
             alive[idx] = False
-            for tri in trigram_sets[idx] & watched:
+            for tri in trigram_sets[idx]:
                 counts[tri] -= 1
 
     return [pair for idx, pair in enumerate(pairs) if alive[idx]]

@@ -14,7 +14,9 @@ from typing import Iterator
 from .errors import InputError
 
 # A "word token" is anything that is not made purely of punctuation or
-# symbol characters (Unicode categories P* and S*).
+# symbol characters (Unicode categories P* and S*). No character for which
+# str.isalnum() holds is in P* or S*, so an alphanumeric string holds no
+# punctuation; tests check this over every code point.
 _TERMINATORS = {".", "!", "?"}
 _WS_RE = re.compile(r"\s+")
 
@@ -28,7 +30,7 @@ def _is_punct_char(ch: str) -> bool:
 
 def is_punctuation(token: str) -> bool:
     """True if every character of the token is punctuation or a symbol."""
-    return bool(token) and all(_is_punct_char(ch) for ch in token)
+    return bool(token) and not token.isalnum() and all(_is_punct_char(ch) for ch in token)
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,9 @@ def tokenize(text: str) -> list[Token]:
     """
     tokens: list[Token] = []
     for chunk in text.split():
+        if chunk.isalnum():  # nothing to peel: see the note on P*/S* above
+            tokens.append(chunk)
+            continue
         lead = 0
         while lead < len(chunk) and _is_punct_char(chunk[lead]):
             lead += 1

@@ -24,7 +24,7 @@ from lexmine.mining import (
     read_documents,
     write_corpus,
 )
-from lexmine.textproc import Sentence, normalize, split_sentences
+from lexmine.textproc import Sentence, ngrams, normalize, split_sentences
 from lexmine.w2w import translate_tokens
 
 IDENTITY_WORDS = ["a", "b", "c", "d", "e"]
@@ -284,6 +284,63 @@ class TestDiversityFilter:
 
     def test_empty_input(self):
         assert diversity_filter([], MiningConfig()) == []
+
+
+def oracle_filter(pairs, cfg):
+    """The reference filter: every distinct trigram sorted, full trigram sets."""
+    trigram_sets = [set(ngrams(normalize(p.source_sentence.tokens()), 3)) for p in pairs]
+    occurrence = Counter()
+    for trigrams in trigram_sets:
+        occurrence.update(trigrams)
+    top = sorted(occurrence.items(), key=lambda item: (-item[1], item[0]))[: cfg.trigram_top_k]
+    watched = {tri for tri, _ in top}
+    if not watched:
+        return list(pairs)
+
+    alive = [True] * len(pairs)
+    members: dict[tuple, list[int]] = {tri: [] for tri in watched}
+    for idx, trigrams in enumerate(trigram_sets):
+        for tri in trigrams & watched:
+            members[tri].append(idx)
+    counts = {tri: len(idxs) for tri, idxs in members.items()}
+
+    while True:
+        overloaded = [(cnt, tri) for tri, cnt in counts.items() if cnt > cfg.trigram_cap]
+        if not overloaded:
+            break
+        # worst offender first; ties broken by lexicographic trigram order
+        worst_count = max(cnt for cnt, _ in overloaded)
+        worst = min(tri for cnt, tri in overloaded if cnt == worst_count)
+        victims = sorted(
+            (idx for idx in members[worst] if alive[idx]),
+            key=lambda idx: (pairs[idx].score, idx),
+        )
+        to_remove = counts[worst] - cfg.trigram_cap
+        for idx in victims[:to_remove]:
+            alive[idx] = False
+            for tri in trigram_sets[idx] & watched:
+                counts[tri] -= 1
+
+    return [pair for idx, pair in enumerate(pairs) if alive[idx]]
+
+
+# 3-4 word types once lowercased, so trigrams repeat across sentences and
+# their counts tie at the top-K boundary; three scores, so victims tie too
+FILTER_VOCAB = ["a", "B", "c", "A", "b", "d"]
+filter_pairs_st = st.integers(4, 6).flatmap(lambda n: st.lists(
+    st.tuples(st.lists(st.sampled_from(FILTER_VOCAB[:n]), min_size=1, max_size=7),
+              st.sampled_from([0.5, 0.75, 1.0])),
+    max_size=30,
+)).map(lambda rows: [pair_with(" ".join(words), score, i)
+                     for i, (words, score) in enumerate(rows)])
+
+
+class TestDiversityFilterOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=filter_pairs_st, top_k=st.integers(1, 5), cap=st.integers(1, 3))
+    def test_equals_sorting_filter(self, pairs, top_k, cap):
+        cfg = MiningConfig(trigram_top_k=top_k, trigram_cap=cap)
+        assert diversity_filter(pairs, cfg) == oracle_filter(pairs, cfg)
 
 
 class TestMine:

@@ -1,6 +1,9 @@
 """Tokenization, segmentation, and n-gram behavior."""
 from __future__ import annotations
 
+import sys
+import unicodedata
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +21,37 @@ from lexmine.textproc import (
 # arbitrary-ish text: words, punctuation, unicode letters, odd spacing
 text_strategy = st.text(
     alphabet=st.characters(blacklist_categories=("Cs", "Cc")), max_size=80)
+# characters on the edges of str.isalnum() and of P*/S*: numbers that are
+# not digits, letters that change length or case form when lowercased, a
+# combining mark, symbols, punctuation inside words, and plain ASCII
+edge_text_strategy = st.text(
+    alphabet=st.sampled_from(list("½²٣Ⅻİßǅ\u0301€…“_'-.aZ7 ")), max_size=40)
+
+
+def _oracle_is_punct_char(ch):
+    return unicodedata.category(ch)[0] in ("P", "S")
+
+
+def oracle_is_punctuation(token):
+    """The reference predicate: every character checked, no fast path."""
+    return bool(token) and all(_oracle_is_punct_char(ch) for ch in token)
+
+
+def oracle_tokenize(text):
+    """The reference tokenizer: every chunk peeled character by character."""
+    tokens = []
+    for chunk in text.split():
+        lead = 0
+        while lead < len(chunk) and _oracle_is_punct_char(chunk[lead]):
+            lead += 1
+        trail = len(chunk)
+        while trail > lead and _oracle_is_punct_char(chunk[trail - 1]):
+            trail -= 1
+        tokens.extend(chunk[:lead])
+        if trail > lead:
+            tokens.append(chunk[lead:trail])
+        tokens.extend(chunk[trail:])
+    return tokens
 
 
 class TestTokenize:
@@ -53,6 +87,17 @@ class TestTokenize:
     def test_rejoin_round_trip(self, text):
         tokens = tokenize(text)
         assert tokenize(" ".join(tokens)) == tokens
+
+    @given(st.one_of(text_strategy, edge_text_strategy))
+    def test_equals_oracle(self, text):
+        assert tokenize(text) == oracle_tokenize(text)
+
+    def test_no_alphanumeric_character_is_punctuation(self):
+        # the isalnum() fast paths of tokenize and is_punctuation rely on
+        # this property of the Unicode database
+        offending = [hex(cp) for cp in range(sys.maxunicode + 1)
+                     if chr(cp).isalnum() and _oracle_is_punct_char(chr(cp))]
+        assert offending == []
 
 
 class TestSplitSentences:
@@ -178,3 +223,7 @@ class TestIsPunctuation:
         assert not is_punctuation("a")
         assert not is_punctuation("e-mail")
         assert not is_punctuation("")
+
+    @given(st.one_of(text_strategy, edge_text_strategy))
+    def test_equals_oracle(self, token):
+        assert is_punctuation(token) == oracle_is_punctuation(token)
