@@ -233,7 +233,6 @@ def _mining_spec():
         ("trigram_top", defaults.trigram_top_k, int),
         ("trigram_cap", defaults.trigram_cap, int),
         ("one_to_one", defaults.one_to_one, _conv_bool),
-        ("jobs", 1, int),
     ]
 
 
@@ -257,14 +256,10 @@ def _run_mining(args, apply_filter: bool) -> int:
                               trigram_top_k=cfg.get("trigram_top", MiningConfig.trigram_top_k),
                               trigram_cap=cfg.get("trigram_cap", MiningConfig.trigram_cap),
                               one_to_one=cfg["one_to_one"])
-    jobs = cfg["jobs"]
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     src_docs = read_documents(args.src)
     tgt_docs = read_documents(args.tgt)
     dictionary = load_dictionary(args.dict)
-    pairs, stats = mine(src_docs, tgt_docs, dictionary, mining_cfg,
-                        jobs=jobs, apply_filter=apply_filter)
+    pairs, stats = mine(src_docs, tgt_docs, dictionary, mining_cfg, apply_filter=apply_filter)
     buf = io.StringIO()
     write_corpus(pairs, buf)
     atomic_write_text(args.out, buf.getvalue())
@@ -274,7 +269,6 @@ def _run_mining(args, apply_filter: bool) -> int:
     config = asdict(mining_cfg)
     if not apply_filter:
         config = {key: config[key] for key in ("align_threshold", "one_to_one")}
-    # jobs stays out of the manifest: output is identical for any worker count
     return _finish(args, config, [args.src, args.tgt, args.dict], asdict(stats), [args.out])
 
 
@@ -519,7 +513,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              default=None, help="unique targets per document (default)")
         pairing.add_argument("--many-to-one", dest="one_to_one", action="store_false",
                              default=None, help="allow target sentence reuse")
-        sub.add_argument("--jobs", type=int, help="worker processes (default 1)")
 
     sub = leaf(mine_subs, "docs", "mine-docs", _cmd_mine_docs,
                "pair documents by normalized title")

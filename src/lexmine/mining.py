@@ -3,15 +3,12 @@
 Pipeline: pair documents by normalized title, segment sentences, translate
 the source side word-to-word, pick each source sentence's best target by
 ROUGE-1 F1, keep pairs above a threshold, then thin over-represented
-trigrams. Every stage is deterministic, and document pairs are independent
-work units so the whole run is reproducible at any worker count.
+trigrams. Every stage is deterministic.
 """
 from __future__ import annotations
 
 import heapq
 import json
-import multiprocessing
-import os
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -202,21 +199,6 @@ def diversity_filter(pairs: list[AlignedPair], cfg: MiningConfig) -> list[Aligne
 
 # -- whole-pipeline driver ---------------------------------------------------
 
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(dictionary: BilingualDictionary, cfg: MiningConfig) -> None:
-    _WORKER_STATE["dictionary"] = dictionary
-    _WORKER_STATE["cfg"] = cfg
-
-
-def _align_pair_task(task: tuple[tuple[Document, Document], list[Sentence]]
-                     ) -> list[AlignedPair]:
-    pair, src_sentences = task
-    return align_sentences(pair, _WORKER_STATE["dictionary"], _WORKER_STATE["cfg"],
-                           src_sentences)
-
-
 @dataclass
 class MiningStats:
     source_documents: int = 0
@@ -229,33 +211,21 @@ class MiningStats:
 
 def mine(src_docs: list[Document], tgt_docs: list[Document],
          dictionary: BilingualDictionary, cfg: MiningConfig,
-         jobs: int = 1, apply_filter: bool = True) -> tuple[list[AlignedPair], MiningStats]:
+         apply_filter: bool = True) -> tuple[list[AlignedPair], MiningStats]:
     """Full pipeline: title pairing -> sentence alignment -> trigram filter.
 
-    Results are merged in document-pair order, so the output is identical
-    for any `jobs` value. At most `jobs` workers start, and never more than
-    there are document pairs or CPUs. `apply_filter=False` stops after
-    thresholding.
+    Aligned pairs come out in document-pair order. `apply_filter=False`
+    stops after thresholding.
     """
-    stats = MiningStats()
-    stats.source_documents = len(src_docs)
-    stats.target_documents = len(tgt_docs)
-
+    stats = MiningStats(source_documents=len(src_docs), target_documents=len(tgt_docs))
     doc_pairs = align_documents(src_docs, tgt_docs)
     stats.document_pairs = len(doc_pairs)
-    tasks = [(pair, split_sentences(pair[0].text)) for pair in doc_pairs]
-    stats.source_sentences = sum(len(src_sentences) for _, src_sentences in tasks)
 
-    workers = min(jobs, len(doc_pairs), os.cpu_count() or 1)
-    if workers > 1:
-        with multiprocessing.Pool(workers, initializer=_init_worker,
-                                  initargs=(dictionary, cfg)) as pool:
-            per_pair = pool.map(_align_pair_task, tasks, chunksize=8)
-    else:
-        per_pair = [align_sentences(pair, dictionary, cfg, src_sentences)
-                    for pair, src_sentences in tasks]
-
-    aligned = [pair for chunk in per_pair for pair in chunk]
+    aligned = []
+    for pair in doc_pairs:
+        src_sentences = split_sentences(pair[0].text)
+        stats.source_sentences += len(src_sentences)
+        aligned.extend(align_sentences(pair, dictionary, cfg, src_sentences))
     stats.aligned_pairs = len(aligned)
 
     final = diversity_filter(aligned, cfg) if apply_filter else aligned

@@ -88,7 +88,8 @@ def stratified_folds(data, k: int = 5, ratios: tuple[float, float, float] = (0.7
     if k < 2:
         raise InputError(f"k must be >= 2, got {k}")
     r_train, r_dev, r_test = ratios
-    if min(ratios) < 0 or abs(r_train + r_dev + r_test - 1.0) > 1e-9:
+    # written so that a NaN ratio fails too: every comparison with NaN is False
+    if not all(r >= 0 for r in ratios) or not abs(r_train + r_dev + r_test - 1.0) <= 1e-9:
         raise InputError(f"ratios must be non-negative and sum to 1, got {ratios}")
     if abs(r_test - 1.0 / k) > 1e-9:
         raise InputError(f"test ratio must be 1/k={1.0 / k:.4f} for disjoint "
@@ -147,6 +148,10 @@ class CvConfig:
     def __post_init__(self):
         if self.algorithm not in ("nb", "lr"):
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
+        grids = ("nb_alpha_grid",) if self.algorithm == "nb" else ("lr_epoch_grid", "lr_l2_grid")
+        for name in grids:
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must hold at least one value")
 
 
 @dataclass
@@ -215,6 +220,10 @@ def cross_validate(data: list[LabeledPair], config: CvConfig, mode: str,
     train_side = "src" if mode.startswith("train-src") else "tgt"
     folds = stratified_folds([row.label for row in data], k=config.folds,
                              ratios=config.ratios, seed=config.seed)
+    for fold_idx, assignment in enumerate(folds):
+        if not assignment.dev:
+            raise InputError(f"fold {fold_idx} has no dev rows; "
+                             "add rows or raise the dev ratio")
 
     def side_text(row: LabeledPair, side: str) -> str:
         return row.src_text if side == "src" else row.tgt_text

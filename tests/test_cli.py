@@ -319,6 +319,19 @@ class TestMine:
         assert len(out.read_text().splitlines()) == 4
         capsys.readouterr()
 
+    def test_config_jobs_key_is_ignored(self, tmp_path, capsys):
+        # mining runs in one process; a jobs key, even an invalid one, changes nothing
+        src, tgt, d = identity_docs(tmp_path)
+        plain = tmp_path / "plain.tsv"
+        assert run(["mine", "all", "--src", src, "--tgt", tgt, "--dict", d,
+                    "--out", str(plain)]) == 0
+        cfg = write(tmp_path / "run.cfg", "jobs=0\n")
+        out = tmp_path / "corpus.tsv"
+        assert run(["mine", "all", "--src", src, "--tgt", tgt, "--dict", d,
+                    "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_bytes() == plain.read_bytes()
+        capsys.readouterr()
+
     def test_threshold_flag(self, tmp_path, capsys):
         src, tgt, d = identity_docs(tmp_path)
         out = tmp_path / "corpus.tsv"
@@ -334,19 +347,6 @@ class TestMine:
                     "--out", str(out)]) == 1
         assert not out.exists()
         assert not (tmp_path / "corpus.tsv.manifest.json").exists()
-        capsys.readouterr()
-
-    def test_worker_count_reproduces_bytes(self, tmp_path, capsys):
-        src, tgt, d = identity_docs(tmp_path, n=6)
-        out = tmp_path / "corpus.tsv"
-        assert run(["mine", "all", "--src", src, "--tgt", tgt, "--dict", d,
-                    "--out", str(out), "--jobs", "1"]) == 0
-        serial_corpus = out.read_bytes()
-        serial_manifest = (tmp_path / "corpus.tsv.manifest.json").read_bytes()
-        assert run(["mine", "all", "--src", src, "--tgt", tgt, "--dict", d,
-                    "--out", str(out), "--jobs", "2"]) == 0
-        assert out.read_bytes() == serial_corpus
-        assert (tmp_path / "corpus.tsv.manifest.json").read_bytes() == serial_manifest
         capsys.readouterr()
 
     @settings(max_examples=40, deadline=None)
@@ -477,9 +477,10 @@ class TestEval:
         capsys.readouterr()
 
     def test_bleu_has_no_jobs_flag(self, tmp_path, capsys):
-        hyp = write(tmp_path / "h.txt", POEM + "\n")
-        assert run(["eval", "bleu", "--hyp", hyp, "--ref", hyp, "--jobs", "2"]) == 2
-        assert "--jobs" in capsys.readouterr().err
+        # no command runs a worker pool, so none takes --jobs
+        for command in ("eval bleu", "mine sents", "mine all"):
+            assert run(command_argv(command, tmp_path) + ["--jobs", "2"]) == 2, command
+            assert "--jobs" in capsys.readouterr().err
 
     def test_judge_summary_line(self, tmp_path, capsys):
         a = write(tmp_path / "a.txt", "5\n4\n")
@@ -529,6 +530,22 @@ class TestSent:
         assert run(["sent", "cv", "--data", data,
                     "--mode", "train-src/test-w2w"]) == 1
         assert "dictionary" in capsys.readouterr().err
+
+    def test_cv_nan_ratio_is_one_line_error(self, tmp_path, capsys):
+        data = cv_data(tmp_path)
+        assert run(["sent", "cv", "--data", data, "--mode", "train-tgt/test-tgt",
+                    "--ratios", "nan,0.1,0.2"]) == 1
+        assert capsys.readouterr().err == ("lexmine: ratios must be non-negative and sum "
+                                           "to 1, got (nan, 0.1, 0.2)\n")
+
+    @pytest.mark.parametrize("algorithm, grid", [
+        ("nb", "nb_alpha_grid"), ("lr", "lr_epoch_grid"), ("lr", "lr_l2_grid")])
+    def test_cv_empty_grid_is_one_line_error(self, tmp_path, capsys, algorithm, grid):
+        data = cv_data(tmp_path)
+        cfg = write(tmp_path / "run.cfg", f"{grid}=\n")
+        assert run(["sent", "cv", "--data", data, "--mode", "train-tgt/test-tgt",
+                    "--algorithm", algorithm, "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"lexmine: {grid} must hold at least one value\n"
 
     def test_cv_invalid_mode_is_usage_error(self, tmp_path, capsys):
         data = cv_data(tmp_path)
@@ -690,9 +707,11 @@ class TestRecordSchema:
 JUNK_PIECES = ["\t", "|", "#", "=", "\n", " ", "{", "}", "[", "]", '"', ":", ",", "null",
                '{"id": 1, "title": "T", "text": "A b."}', "0", "42", "-3.5", "nan", "inf",
                "a", "B", ".", "é", "Ünï", "漢字", "😀", "positive"]
+# `jobs` is no setting of any command: it stands for a key that is ignored
 SETTING_NAMES = ["direction", "max_len", "threshold", "trigram_top", "trigram_cap",
                  "one_to_one", "jobs", "lowercase", "no_tokenize", "vocab_size", "algorithm",
-                 "folds", "ratios", "seed"]
+                 "folds", "ratios", "seed", "nb_alpha_grid", "lr_epoch_grid", "lr_l2_grid",
+                 "lr_learning_rate"]
 junk_st = st.lists(st.sampled_from(JUNK_PIECES), max_size=30).map("".join)
 junk_config_st = st.lists(st.tuples(st.sampled_from(SETTING_NAMES), junk_st), max_size=4).map(
     lambda rows: "\n".join(f"{key}={value}" for key, value in rows))

@@ -126,6 +126,8 @@ class TestStratifiedFolds:
     def test_ratios_must_sum_to_one(self):
         with pytest.raises(InputError):
             stratified_folds(self.labels(10, 10), k=5, ratios=(0.5, 0.2, 0.2))
+        with pytest.raises(InputError):
+            stratified_folds(self.labels(10, 10), k=5, ratios=(float("nan"), 0.1, 0.2))
 
     def test_test_ratio_tied_to_k(self):
         with pytest.raises(InputError):
@@ -160,6 +162,16 @@ class TestCvConfig:
         assert payload["bpe_vocab_size"] == 300
         assert payload["ratios"] == [0.7, 0.1, 0.2]
 
+    @pytest.mark.parametrize("algorithm, grid", [
+        ("nb", "nb_alpha_grid"), ("lr", "lr_epoch_grid"), ("lr", "lr_l2_grid")])
+    def test_empty_grid_rejected(self, algorithm, grid):
+        with pytest.raises(ConfigError, match=grid):
+            CvConfig(algorithm=algorithm, **{grid: ()})
+
+    def test_unused_grid_may_be_empty(self):
+        assert CvConfig(algorithm="nb", lr_epoch_grid=(), lr_l2_grid=()).nb_alpha_grid
+        assert CvConfig(algorithm="lr", nb_alpha_grid=()).lr_epoch_grid
+
 
 class TestCrossValidate:
     def config(self, **overrides):
@@ -174,6 +186,11 @@ class TestCrossValidate:
         assert report.mean_f1_macro == pytest.approx(1.0)
         assert len(report.folds) == 5
         assert report.folds[0].sizes == {"train": 42, "dev": 6, "test": 12}
+
+    def test_fold_without_dev_rows_is_named(self):
+        # 6 rows per class at 5 folds leave fold 0 no dev row
+        with pytest.raises(InputError, match="fold 0 has no dev rows"):
+            cross_validate(keyword_corpus(6), self.config(), "train-tgt/test-tgt")
 
     def test_grid_tie_prefers_first_value(self):
         rows = keyword_corpus(30)
