@@ -15,6 +15,7 @@ smaller values), and reports test F1 (positive-class headline, macro too).
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -152,6 +153,12 @@ class CvConfig:
         for name in grids:
             if not getattr(self, name):
                 raise ConfigError(f"{name} must hold at least one value")
+        # written so that NaN fails too: every comparison with NaN is False
+        if not all(0 < alpha < math.inf for alpha in self.nb_alpha_grid):
+            raise ConfigError(f"nb_alpha_grid values must be finite and > 0, "
+                              f"got {self.nb_alpha_grid}")
+        if not all(epochs >= 1 for epochs in self.lr_epoch_grid):
+            raise ConfigError(f"lr_epoch_grid values must be >= 1, got {self.lr_epoch_grid}")
 
 
 @dataclass

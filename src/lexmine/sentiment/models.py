@@ -2,8 +2,9 @@
 
 Both classifiers are written out in full so their internals can be checked
 directly: NB posteriors against closed-form smoothed-count arithmetic, and
-the LR gradient against finite differences of the loss. Prediction ties
-break toward the negative (majority) class.
+the LR gradient against finite differences of the loss. LR needs only
+numpy: its sparse products are weighted `np.bincount` sums over coordinate
+arrays. Prediction ties break toward the negative (majority) class.
 """
 from __future__ import annotations
 
@@ -11,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.special import expit
 
 from ..errors import DivergenceError, InputError
 from .bpe import FeatureVector
@@ -44,8 +43,8 @@ class NbModel:
 
 def nb_train(data: list[tuple[FeatureVector, str]], alpha: float = 1.0) -> NbModel:
     """Multinomial naive Bayes with additive smoothing."""
-    if alpha <= 0:
-        raise InputError(f"smoothing alpha must be > 0, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise InputError(f"smoothing alpha must be finite and > 0, got {alpha}")
     if not data:
         raise InputError("training data is empty")
     _check_labels(label for _, label in data)
@@ -105,11 +104,12 @@ class LrConfig:
     l2_strength: float = 0.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        # written so that NaN fails each check: every comparison with NaN is False
+        if not self.learning_rate > 0:
             raise InputError(f"learning rate must be > 0, got {self.learning_rate}")
-        if self.epochs < 1:
+        if not self.epochs >= 1:
             raise InputError(f"epochs must be >= 1, got {self.epochs}")
-        if self.l2_strength < 0:
+        if not self.l2_strength >= 0:
             raise InputError(f"l2_strength must be >= 0, got {self.l2_strength}")
 
 
@@ -120,8 +120,21 @@ class LrModel:
     config: LrConfig
 
 
+@np.errstate(over="ignore")
+def _logistic(scores: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-s). For s below about -709, e^-s overflows to inf and the
+    result is 0, the correct limit, so numpy's overflow warning is silenced."""
+    return 1.0 / (1.0 + np.exp(-scores))
+
+
 class _LrProblem:
-    """Dataset encoded as a CSR matrix with a fixed feature order."""
+    """Dataset as coordinate arrays over a fixed (sorted) feature order.
+
+    `rows`, `cols` and `vals` hold one entry per feature of each row: rows
+    in data order, each row's features in sorted order, as in a canonical
+    CSR matrix. The products with a weight or residual vector are weighted
+    bincounts over these arrays, so every sum adds its terms in that order.
+    """
 
     def __init__(self, data: list[tuple[FeatureVector, str]]):
         _check_labels(label for _, label in data)
@@ -129,54 +142,67 @@ class _LrProblem:
         index = {f: i for i, f in enumerate(self.feature_ids)}
         rows, cols, vals = [], [], []
         for row, (features, _) in enumerate(data):
-            for feature, count in features.items():
+            for feature, count in sorted(features.items()):
                 rows.append(row)
                 cols.append(index[feature])
                 vals.append(float(count))
-        self.x = sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(len(data), len(self.feature_ids)))
+        self.rows = np.array(rows, dtype=np.intp)
+        self.cols = np.array(cols, dtype=np.intp)
+        self.vals = np.array(vals, dtype=np.float64)
         self.y = np.array([1.0 if label == POSITIVE else 0.0 for _, label in data])
 
     def vectorize(self, weights: dict[str, float]) -> np.ndarray:
         return np.array([weights.get(f, 0.0) for f in self.feature_ids])
 
-    def loss(self, w: np.ndarray, bias: float, l2: float) -> float:
-        margins = (self.x @ w + bias) * (2.0 * self.y - 1.0)
+    def scores(self, w: np.ndarray, bias: float) -> np.ndarray:
+        """x @ w + bias, one score per row."""
+        return np.bincount(self.rows, weights=self.vals * w[self.cols],
+                           minlength=len(self.y)) + bias
+
+    def loss(self, w: np.ndarray, scores: np.ndarray, l2: float) -> float:
+        margins = scores * (2.0 * self.y - 1.0)
         data_term = float(np.mean(np.logaddexp(0.0, -margins)))
         return data_term + 0.5 * l2 * float(w @ w)
 
-    def gradient(self, w: np.ndarray, bias: float, l2: float) -> tuple[np.ndarray, float]:
-        scores = self.x @ w + bias
-        probs = expit(scores)
-        residual = (probs - self.y) / len(self.y)
-        return self.x.T @ residual + l2 * w, float(residual.sum())
+    def gradient(self, w: np.ndarray, scores: np.ndarray, l2: float) -> tuple[np.ndarray, float]:
+        residual = (_logistic(scores) - self.y) / len(self.y)
+        xtr = np.bincount(self.cols, weights=self.vals * residual[self.rows],
+                          minlength=len(self.feature_ids))
+        return xtr + l2 * w, float(residual.sum())
 
 
 def lr_loss(weights: dict[str, float], bias: float,
             data: list[tuple[FeatureVector, str]], l2_strength: float = 0.0) -> float:
     problem = _LrProblem(data)
-    return problem.loss(problem.vectorize(weights), bias, l2_strength)
+    w = problem.vectorize(weights)
+    return problem.loss(w, problem.scores(w, bias), l2_strength)
 
 
 def lr_gradient(weights: dict[str, float], bias: float,
                 data: list[tuple[FeatureVector, str]], l2_strength: float = 0.0
                 ) -> tuple[dict[str, float], float]:
     problem = _LrProblem(data)
-    grad_w, grad_b = problem.gradient(problem.vectorize(weights), bias, l2_strength)
+    w = problem.vectorize(weights)
+    grad_w, grad_b = problem.gradient(w, problem.scores(w, bias), l2_strength)
     return dict(zip(problem.feature_ids, grad_w.tolist())), grad_b
 
 
+# an overflow ends in a non-finite loss, which is reported as divergence
+@np.errstate(over="ignore", invalid="ignore")
 def _lr_descend(problem: _LrProblem, config: LrConfig,
                 checkpoints: set[int]) -> dict[int, tuple[np.ndarray, float]]:
     w = np.zeros(len(problem.feature_ids))
     bias = 0.0
+    scores = problem.scores(w, bias)
     snapshots = {}
     last = max(checkpoints)
     for epoch in range(1, last + 1):
-        grad_w, grad_b = problem.gradient(w, bias, config.l2_strength)
+        # each step's scores serve its loss check and the next step's gradient
+        grad_w, grad_b = problem.gradient(w, scores, config.l2_strength)
         w = w - config.learning_rate * grad_w
         bias = bias - config.learning_rate * grad_b
-        loss = problem.loss(w, bias, config.l2_strength)
+        scores = problem.scores(w, bias)
+        loss = problem.loss(w, scores, config.l2_strength)
         if not math.isfinite(loss):
             raise DivergenceError(f"non-finite loss at epoch {epoch}")
         if epoch in checkpoints:
@@ -198,6 +224,8 @@ def lr_train_checkpoints(data: list[tuple[FeatureVector, str]], config: LrConfig
     """
     if not data:
         raise InputError("training data is empty")
+    if not epoch_grid or not all(epochs >= 1 for epochs in epoch_grid):
+        raise InputError(f"epoch_grid must hold epoch counts >= 1, got {list(epoch_grid)}")
     problem = _LrProblem(data)
     snapshots = _lr_descend(problem, config, set(epoch_grid))
     models = {}

@@ -547,6 +547,23 @@ class TestSent:
                     "--algorithm", algorithm, "--config", cfg]) == 1
         assert capsys.readouterr().err == f"lexmine: {grid} must hold at least one value\n"
 
+    @pytest.mark.parametrize("algorithm, setting, message", [
+        ("nb", "nb_alpha_grid=nan", "nb_alpha_grid values must be finite and > 0, got (nan,)"),
+        ("nb", "nb_alpha_grid=0.5,inf", "nb_alpha_grid values must be finite and > 0, "
+                                        "got (0.5, inf)"),
+        ("lr", "lr_epoch_grid=0,50", "lr_epoch_grid values must be >= 1, got (0, 50)"),
+        ("lr", "lr_l2_grid=nan", "l2_strength must be >= 0, got nan"),
+        ("lr", "lr_learning_rate=nan", "learning rate must be > 0, got nan"),
+        ("lr", "lr_learning_rate=1e160", "non-finite loss at epoch 1")])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cv_bad_training_value_is_one_line_error(self, tmp_path, capsys,
+                                                     algorithm, setting, message):
+        data = cv_data(tmp_path)
+        cfg = write(tmp_path / "run.cfg", setting + "\n")
+        assert run(["sent", "cv", "--data", data, "--mode", "train-tgt/test-tgt",
+                    "--algorithm", algorithm, "--vocab-size", "120", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"lexmine: {message}\n"
+
     def test_cv_invalid_mode_is_usage_error(self, tmp_path, capsys):
         data = cv_data(tmp_path)
         assert run(["sent", "cv", "--data", data, "--mode", "nope"]) == 2

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 
 import pytest
@@ -20,6 +21,10 @@ from lexmine.sentiment.cv import (
 POS_WORDS = ["bagus", "senang", "hebat", "indah"]
 NEG_WORDS = ["buruk", "sedih", "parah", "jelek"]
 FILLER = ["hari", "ini", "film", "cerita", "orang", "kota"]
+
+# numpy reports overflow and invalid values as RuntimeWarnings; the trainer
+# must keep them to itself
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def keyword_corpus(n_per_class: int, signal=None) -> list[LabeledPair]:
@@ -167,6 +172,13 @@ class TestCvConfig:
     def test_empty_grid_rejected(self, algorithm, grid):
         with pytest.raises(ConfigError, match=grid):
             CvConfig(algorithm=algorithm, **{grid: ()})
+
+    @pytest.mark.parametrize("grid, values", [
+        ("nb_alpha_grid", (0.5, math.nan)), ("nb_alpha_grid", (math.inf,)),
+        ("nb_alpha_grid", (0.0,)), ("lr_epoch_grid", (0, 50)), ("lr_epoch_grid", (-5,))])
+    def test_out_of_range_grid_value_rejected(self, grid, values):
+        with pytest.raises(ConfigError, match=grid):
+            CvConfig(**{grid: values})
 
     def test_unused_grid_may_be_empty(self):
         assert CvConfig(algorithm="nb", lr_epoch_grid=(), lr_l2_grid=()).nb_alpha_grid

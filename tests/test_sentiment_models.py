@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +12,8 @@ from lexmine.sentiment.models import (
     NEGATIVE,
     POSITIVE,
     LrConfig,
+    _logistic,
+    _LrProblem,
     f1_score,
     lr_gradient,
     lr_loss,
@@ -22,6 +25,10 @@ from lexmine.sentiment.models import (
     nb_predict,
     nb_train,
 )
+
+# numpy reports overflow and invalid values as RuntimeWarnings; the trainer
+# must keep them to itself
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 NB_TOY = [
     ({"good": 2}, POSITIVE),
@@ -72,6 +79,11 @@ class TestNaiveBayes:
     def test_alpha_must_be_positive(self):
         with pytest.raises(InputError):
             nb_train(NB_TOY, alpha=0.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_alpha_must_be_finite(self, alpha):
+        with pytest.raises(InputError):
+            nb_train(NB_TOY, alpha=alpha)
 
     def test_needs_both_classes(self):
         with pytest.raises(InputError):
@@ -129,6 +141,52 @@ class TestLrGradient:
         assert lr_loss({}, 0.0, LR_TOY) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
+features_st = st.dictionaries(st.sampled_from("abcdefgh"), st.integers(1, 5), max_size=5)
+weight_st = st.floats(-10.0, 10.0)
+
+
+class TestLrArithmetic:
+    """The bincount products equal plain loops that add the same terms in the
+    same order: each row's features sorted, rows in data order."""
+
+    @given(rows=st.lists(st.tuples(features_st, st.sampled_from((POSITIVE, NEGATIVE))),
+                         min_size=2, max_size=8).filter(
+                             lambda rows: {label for _, label in rows} == {POSITIVE, NEGATIVE}),
+           weights=st.lists(weight_st, min_size=8, max_size=8),
+           bias=weight_st)
+    def test_scores_and_gradient_equal_python_loops(self, rows, weights, bias):
+        problem = _LrProblem(rows)
+        index = {f: i for i, f in enumerate(problem.feature_ids)}
+        w = np.array(weights[:len(index)])
+
+        expected_scores = []
+        for features, _ in rows:
+            total = 0.0
+            for feature in sorted(features):
+                total += float(features[feature]) * float(w[index[feature]])
+            expected_scores.append(total + bias)
+        scores = problem.scores(w, bias)
+        assert scores.tolist() == expected_scores
+
+        residual = (_logistic(scores) - problem.y) / len(rows)
+        expected_grad = [0.0] * len(index)
+        for row, (features, _) in enumerate(rows):
+            for feature in sorted(features):
+                expected_grad[index[feature]] += float(features[feature]) * float(residual[row])
+        grad_w, grad_b = problem.gradient(w, scores, 0.0)
+        assert grad_w.tolist() == expected_grad
+        assert grad_b == float(residual.sum())
+
+    @given(st.floats(-700.0, 700.0))
+    def test_logistic_matches_closed_form(self, s):
+        expected = 1.0 / (1.0 + math.exp(-s))
+        assert _logistic(np.array([s]))[0] == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_logistic_saturates_without_warning(self):
+        out = _logistic(np.array([-1e308, -800.0, 800.0, 1e308]))
+        assert out.tolist() == [0.0, 0.0, 1.0, 1.0]
+
+
 class TestLrTraining:
     def test_separates_toy_data(self):
         data = [({"up": 2}, POSITIVE), ({"up": 1, "down": 1}, POSITIVE),
@@ -159,7 +217,6 @@ class TestLrTraining:
         norm = lambda m: sum(v * v for v in m.weights.values())
         assert norm(ridged) < norm(plain)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_is_reported(self):
         # the absurd step size overflows the penalty term, which is exactly
         # the non-finite loss the trainer must turn into an error
@@ -182,6 +239,16 @@ class TestLrTraining:
             LrConfig(epochs=0)
         with pytest.raises(InputError):
             LrConfig(l2_strength=-0.1)
+
+    @pytest.mark.parametrize("field", ["learning_rate", "epochs", "l2_strength"])
+    def test_config_validation_rejects_nan(self, field):
+        with pytest.raises(InputError):
+            LrConfig(**{field: math.nan})
+
+    @pytest.mark.parametrize("grid", [[0, 50], [-1], []])
+    def test_checkpoints_below_one_epoch_rejected(self, grid):
+        with pytest.raises(InputError, match="epoch"):
+            lr_train_checkpoints(LR_TOY, LrConfig(epochs=50), grid)
 
     def test_empty_data_rejected(self):
         with pytest.raises(InputError):
