@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -138,6 +139,25 @@ def _finish(args, config: dict, inputs, counts: dict, outputs, *,
         target = f"{PROG}-{args.slug}.manifest.json"
     manifest.write(target)
     return 0
+
+
+# argparse dests of the flags that name files a command reads, and writes
+_INPUT_FLAGS = ("in_path", "dict", "lexicon", "src", "tgt", "hyp", "ref", "corpus",
+                "side_a", "side_b", "scores_a", "scores_b", "data", "config")
+_OUTPUT_FLAGS = ("out", "summary", "manifest")
+
+
+def _refuse_overwriting_inputs(args) -> None:
+    """An output flag naming an input file would replace the bytes the run
+    reads, and the manifest would record the output's digest as the
+    input's, so such a run is refused before anything is written."""
+    inputs = [getattr(args, dest, None) for dest in _INPUT_FLAGS]
+    for dest in _OUTPUT_FLAGS:
+        out = getattr(args, dest, None)
+        if out and os.path.exists(out):
+            for path in inputs:
+                if path and os.path.exists(path) and os.path.samefile(out, path):
+                    raise ConfigError(f"--{dest} {out} is the same file as input {path}")
 
 
 def _emit_report(args, payload: dict, summary_line: str) -> None:
@@ -595,6 +615,7 @@ def run(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     args.started = time.perf_counter()
     try:
+        _refuse_overwriting_inputs(args)
         return args.handler(args)
     except LexmineError as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)

@@ -63,19 +63,23 @@ def _first_undecodable_line(path) -> int:
 
 def atomic_write_text(path, text: str):
     """Write via a temp file in the same directory, then rename over the
-    target so readers never observe a partial file."""
+    target so readers never observe a partial file. A target that cannot
+    be written raises InputError naming it, not the temp file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp_path, path)
-    except BaseException:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(tmp_path, path)
+        except BaseException:
+            try:
+                os.unlink(tmp_path)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def atomic_write_json(path, payload: dict):

@@ -84,13 +84,12 @@ def _word_pairs(symbols: tuple[str, ...]) -> Counter:
 def bpe_train(corpus, vocab_size: int) -> BpeModel:
     """Learn merge rules from a text corpus.
 
-    `corpus` is a list of strings (or objects with a `text` attribute).
-    The symbol budget counts the initial alphabet (characters plus the
-    end-of-word marker) and one symbol per merge.
+    `corpus` is a list of strings. The symbol budget counts the initial
+    alphabet (characters plus the end-of-word marker) and one symbol per
+    merge.
     """
-    texts = [getattr(item, "text", item) for item in corpus]
     word_freq = Counter()
-    for text in texts:
+    for text in corpus:
         word_freq.update(text.lower().split())
     if not word_freq:
         raise InputError("BPE training corpus is empty")

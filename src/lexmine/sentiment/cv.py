@@ -10,8 +10,11 @@ modes mirror that setup:
   train-tgt/test-tgt   in-language reference point
 
 Each fold trains a fresh BPE model on its training texts, tunes the
-classifier on the dev split over a small deterministic grid (ties toward
-smaller values), and reports test F1 (positive-class headline, macro too).
+classifier on the dev split, and reports test F1 (positive-class headline,
+macro too). One grid search serves both classifiers: it walks the grid in
+ascending order (naive Bayes: alpha; logistic regression: epochs, then l2),
+records every cell in `grid_trace` in that order, and keeps the first best
+dev F1, so a tie goes to the smaller value.
 """
 from __future__ import annotations
 
@@ -80,12 +83,11 @@ def stratified_folds(data, k: int = 5, ratios: tuple[float, float, float] = (0.7
                      seed: int = 0) -> list[FoldAssignment]:
     """Seeded per-class fold assignments with disjoint test buckets.
 
-    `data` is a list of label strings or objects with a `label` attribute.
-    The k test buckets partition each class, which pins the test share to
-    1/k; the train/dev ratios are honored inside the remainder so every
-    split stays within one item of its exact per-class proportion.
+    `data` is a list of label strings. The k test buckets partition each
+    class, which pins the test share to 1/k; the train/dev ratios are
+    honored inside the remainder so every split stays within one item of
+    its exact per-class proportion.
     """
-    labels = [getattr(item, "label", item) for item in data]
     if k < 2:
         raise InputError(f"k must be >= 2, got {k}")
     r_train, r_dev, r_test = ratios
@@ -97,7 +99,7 @@ def stratified_folds(data, k: int = 5, ratios: tuple[float, float, float] = (0.7
                          f"test folds, got {r_test}")
 
     by_class: dict[str, list[int]] = {}
-    for idx, label in enumerate(labels):
+    for idx, label in enumerate(data):
         by_class.setdefault(label, []).append(idx)
     for label, members in sorted(by_class.items()):
         if len(members) < k:
@@ -181,39 +183,22 @@ class CvReport:
     mean_f1_macro: float
 
 
-def _tune_nb(train_data, dev_features, dev_labels, config):
-    best = None
-    trace = []
-    for alpha in config.nb_alpha_grid:
-        model = nb_train(train_data, alpha=alpha)
-        dev_f1 = f1_score([nb_predict(model, fv) for fv in dev_features], dev_labels)
-        trace.append({"params": {"alpha": alpha}, "dev_f1": dev_f1})
-        if best is None or dev_f1 > best[0]:
-            best = (dev_f1, {"alpha": alpha}, model)
-    dev_f1, chosen, model = best
-    return model, chosen, dev_f1, trace, nb_predict
-
-
-def _tune_lr(train_data, dev_features, dev_labels, config):
-    results = {}
-    for l2 in config.lr_l2_grid:
-        lr_cfg = LrConfig(learning_rate=config.lr_learning_rate,
-                          epochs=max(config.lr_epoch_grid),
-                          l2_strength=l2)
-        models = lr_train_checkpoints(train_data, lr_cfg, list(config.lr_epoch_grid))
-        for epochs in config.lr_epoch_grid:
-            results[(epochs, l2)] = models[epochs]
-    best = None
-    trace = []
-    for epochs in sorted(config.lr_epoch_grid):
-        for l2 in sorted(config.lr_l2_grid):
-            model = results[(epochs, l2)]
-            dev_f1 = f1_score([lr_predict(model, fv) for fv in dev_features], dev_labels)
-            trace.append({"params": {"epochs": epochs, "l2": l2}, "dev_f1": dev_f1})
-            if best is None or dev_f1 > best[0]:
-                best = (dev_f1, {"epochs": epochs, "l2": l2}, model)
-    dev_f1, chosen, model = best
-    return model, chosen, dev_f1, trace, lr_predict
+def _grid(train_data, config):
+    """Yield `(params, model, predict)` for every grid cell of the configured
+    classifier, each grid walked in ascending order. The LR cells train
+    from one shared problem, and cells that differ only in epochs share one
+    descent."""
+    if config.algorithm == "nb":
+        for alpha in sorted(config.nb_alpha_grid):
+            yield {"alpha": alpha}, nb_train(train_data, alpha=alpha), nb_predict
+        return
+    cells = [(epochs, l2) for epochs in sorted(config.lr_epoch_grid)
+             for l2 in sorted(config.lr_l2_grid)]
+    models = lr_train_checkpoints(train_data, [
+        LrConfig(learning_rate=config.lr_learning_rate, epochs=epochs, l2_strength=l2)
+        for epochs, l2 in cells])
+    for (epochs, l2), model in zip(cells, models):
+        yield {"epochs": epochs, "l2": l2}, model, lr_predict
 
 
 def cross_validate(data: list[LabeledPair], config: CvConfig, mode: str,
@@ -254,9 +239,15 @@ def cross_validate(data: list[LabeledPair], config: CvConfig, mode: str,
         test_features = [featurize(bpe, test_text(r)) for r in test_rows]
         test_labels = [r.label for r in test_rows]
 
-        tune = _tune_nb if config.algorithm == "nb" else _tune_lr
-        model, chosen, dev_f1, trace, predict = tune(
-            train_data, dev_features, dev_labels, config)
+        # the first best dev F1 wins, so a tie goes to the smaller value
+        best = None
+        trace = []
+        for params, model, predict in _grid(train_data, config):
+            dev_f1 = f1_score([predict(model, fv) for fv in dev_features], dev_labels)
+            trace.append({"params": params, "dev_f1": dev_f1})
+            if best is None or dev_f1 > best[0]:
+                best = (dev_f1, params, model, predict)
+        dev_f1, chosen, model, predict = best
 
         predictions = [predict(model, fv) for fv in test_features]
         fold_results.append(FoldResult(

@@ -189,7 +189,7 @@ def lr_gradient(weights: dict[str, float], bias: float,
 
 # an overflow ends in a non-finite loss, which is reported as divergence
 @np.errstate(over="ignore", invalid="ignore")
-def _lr_descend(problem: _LrProblem, config: LrConfig,
+def _lr_descend(problem: _LrProblem, learning_rate: float, l2: float,
                 checkpoints: set[int]) -> dict[int, tuple[np.ndarray, float]]:
     w = np.zeros(len(problem.feature_ids))
     bias = 0.0
@@ -198,11 +198,11 @@ def _lr_descend(problem: _LrProblem, config: LrConfig,
     last = max(checkpoints)
     for epoch in range(1, last + 1):
         # each step's scores serve its loss check and the next step's gradient
-        grad_w, grad_b = problem.gradient(w, scores, config.l2_strength)
-        w = w - config.learning_rate * grad_w
-        bias = bias - config.learning_rate * grad_b
+        grad_w, grad_b = problem.gradient(w, scores, l2)
+        w = w - learning_rate * grad_w
+        bias = bias - learning_rate * grad_b
         scores = problem.scores(w, bias)
-        loss = problem.loss(w, scores, config.l2_strength)
+        loss = problem.loss(w, scores, l2)
         if not math.isfinite(loss):
             raise DivergenceError(f"non-finite loss at epoch {epoch}")
         if epoch in checkpoints:
@@ -212,27 +212,32 @@ def _lr_descend(problem: _LrProblem, config: LrConfig,
 
 def lr_train(data: list[tuple[FeatureVector, str]], config: LrConfig = LrConfig()) -> LrModel:
     """Deterministic full-batch gradient descent from zero initialization."""
-    return lr_train_checkpoints(data, config, [config.epochs])[config.epochs]
+    return lr_train_checkpoints(data, [config])[0]
 
 
-def lr_train_checkpoints(data: list[tuple[FeatureVector, str]], config: LrConfig,
-                         epoch_grid: list[int]) -> dict[int, LrModel]:
-    """One descent pass snapshotting the model at several epoch counts.
+def lr_train_checkpoints(data: list[tuple[FeatureVector, str]],
+                         configs: list[LrConfig]) -> list[LrModel]:
+    """Train one model per config, in order, from one shared problem.
 
-    Full-batch descent makes a shorter run a prefix of a longer one, so the
-    snapshots equal separately trained models.
+    Configs that differ only in `epochs` share one descent, snapshotted at
+    each of their epoch counts: full-batch descent makes a shorter run a
+    prefix of a longer one, so every snapshot equals a separately trained
+    model. An empty config list returns no models.
     """
     if not data:
         raise InputError("training data is empty")
-    if not epoch_grid or not all(epochs >= 1 for epochs in epoch_grid):
-        raise InputError(f"epoch_grid must hold epoch counts >= 1, got {list(epoch_grid)}")
     problem = _LrProblem(data)
-    snapshots = _lr_descend(problem, config, set(epoch_grid))
-    models = {}
-    for epochs, (w, bias) in snapshots.items():
-        cfg = LrConfig(config.learning_rate, epochs, config.l2_strength)
+    epochs_by_run: dict[tuple[float, float], set[int]] = {}
+    for config in configs:
+        run = (config.learning_rate, config.l2_strength)
+        epochs_by_run.setdefault(run, set()).add(config.epochs)
+    snapshots = {run: _lr_descend(problem, *run, checkpoints)
+                 for run, checkpoints in epochs_by_run.items()}
+    models = []
+    for config in configs:
+        w, bias = snapshots[config.learning_rate, config.l2_strength][config.epochs]
         weights = {f: float(v) for f, v in zip(problem.feature_ids, w) if v != 0.0}
-        models[epochs] = LrModel(weights, bias, cfg)
+        models.append(LrModel(weights, bias, config))
     return models
 
 

@@ -802,6 +802,46 @@ class TestInputRobustness:
             assert kept.read_bytes() == sents.read_bytes()
 
 
+class TestOutputPaths:
+    @pytest.mark.parametrize("flag, name", [("--out", "missing/x.tsv"),
+                                            ("--manifest", "missing/m.json"),
+                                            ("--out", "outdir"),
+                                            ("--out", "outdir/")])
+    def test_unwritable_output_names_the_given_path(self, tmp_path, capsys, flag, name):
+        (tmp_path / "outdir").mkdir()
+        d = write(tmp_path / "d.tsv", "a\tb\n")
+        target = f"{tmp_path}/{name}"
+        argv = ["dict", "build", "--in", d, "--out", str(tmp_path / "x.tsv")]
+        if flag == "--out":
+            argv[-1] = target
+        else:
+            argv += [flag, target]
+        assert run(argv) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("lexmine:")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"lexmine: cannot write {target}: ")
+        assert list(tmp_path.rglob(".tmp-*")) == []
+
+    @pytest.mark.parametrize("command", ["dict build", "mine filter", "w2w --summary"])
+    def test_output_naming_an_input_is_refused(self, tmp_path, capsys, command):
+        d = write(tmp_path / "d.tsv", "b\tc\na\tz\n")
+        corpus = write(tmp_path / "corpus.tsv", "A b c.\tA b c.\t1.000000\ts0\n")
+        text = write(tmp_path / "text.txt", POEM + "\n")
+        argv = {
+            "dict build": ["dict", "build", "--in", d, "--out", f"{tmp_path}/./d.tsv"],
+            "mine filter": ["mine", "filter", "--in", corpus, "--out", corpus],
+            "w2w --summary": ["w2w", "--dict", d, "--in", text,
+                              "--out", str(tmp_path / "out.txt"), "--summary", text],
+        }[command]
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("lexmine: --") and err.count("\n") == 1
+        assert "is the same file as" in err
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 @pytest.mark.parametrize("module", ["lexmine", "lexmine.cli"])
 def test_python_dash_m_entry_point(module):
     package_root = str(Path(lexmine.__file__).resolve().parents[1])

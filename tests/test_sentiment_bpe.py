@@ -83,12 +83,6 @@ class TestTraining:
         lower = bpe_train(["aaab aaab"], vocab_size=4)
         assert upper.merges == lower.merges
 
-    def test_accepts_objects_with_text_attribute(self):
-        class Row:
-            text = "aaab aaab"
-
-        assert bpe_train([Row(), Row()], vocab_size=4).merges == [("a", "a")]
-
     @given(corpus_st, st.integers(1, 6))
     @settings(max_examples=60)
     def test_matches_recount_oracle(self, words, extra):

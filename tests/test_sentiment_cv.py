@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from lexmine.dictionary import parse_dictionary
 from lexmine.errors import ConfigError, InputError, ParseError
+from lexmine.sentiment import models
 from lexmine.sentiment.cv import (
     CvConfig,
     LabeledPair,
@@ -119,11 +120,6 @@ class TestStratifiedFolds:
         b = stratified_folds(self.labels(30, 70), k=5, seed=1)
         assert a != b
 
-    def test_accepts_objects_with_label(self):
-        rows = keyword_corpus(10)
-        folds = stratified_folds(rows, k=5, seed=0)
-        assert len(folds) == 5
-
     def test_k_too_small(self):
         with pytest.raises(InputError):
             stratified_folds(self.labels(5, 5), k=1)
@@ -211,6 +207,31 @@ class TestCrossValidate:
         for fold in report.folds:
             assert fold.chosen == {"alpha": 0.1}
             assert len(fold.grid_trace) == 3
+
+    def test_grid_tie_prefers_smaller_value_in_any_order(self):
+        rows = keyword_corpus(30)
+        report = cross_validate(rows, self.config(nb_alpha_grid=(1.0, 0.5, 0.1)),
+                                "train-tgt/test-tgt")
+        for fold in report.folds:
+            assert fold.chosen == {"alpha": 0.1}
+            assert [cell["params"]["alpha"] for cell in fold.grid_trace] == [0.1, 0.5, 1.0]
+
+    def test_lr_builds_one_problem_per_fold(self, monkeypatch):
+        built = []
+
+        class CountingProblem(models._LrProblem):
+            def __init__(self, data):
+                built.append(len(data))
+                super().__init__(data)
+
+        monkeypatch.setattr(models, "_LrProblem", CountingProblem)
+        cfg = self.config(algorithm="lr", lr_epoch_grid=(5, 10),
+                          lr_l2_grid=(0.0, 0.01, 0.1), lr_learning_rate=0.5)
+        report = cross_validate(keyword_corpus(30), cfg, "train-tgt/test-tgt")
+        assert len(built) == len(report.folds) == 5
+        for fold in report.folds:
+            assert [cell["params"] for cell in fold.grid_trace] == [
+                {"epochs": e, "l2": l2} for e in (5, 10) for l2 in (0.0, 0.01, 0.1)]
 
     def test_deterministic_report(self):
         rows = keyword_corpus(30)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lexmine.errors import DivergenceError, InputError
 from lexmine.sentiment.models import (
@@ -196,19 +196,28 @@ class TestLrTraining:
             POSITIVE, POSITIVE, NEGATIVE, NEGATIVE]
 
     def test_loss_non_increasing(self):
-        config = LrConfig(learning_rate=0.05, epochs=20)
-        models = lr_train_checkpoints(LR_TOY, config, list(range(1, 21)))
-        losses = [lr_loss(models[e].weights, models[e].bias, LR_TOY)
-                  for e in range(1, 21)]
+        models = lr_train_checkpoints(
+            LR_TOY, [LrConfig(learning_rate=0.05, epochs=e) for e in range(1, 21)])
+        losses = [lr_loss(m.weights, m.bias, LR_TOY) for m in models]
         assert losses[0] <= math.log(2.0)
         for earlier, later in zip(losses, losses[1:]):
             assert later <= earlier + 1e-12
 
     def test_checkpoints_equal_separate_runs(self):
-        config = LrConfig(learning_rate=0.1, epochs=50)
-        snapshots = lr_train_checkpoints(LR_TOY, config, [20, 50])
+        snapshots = lr_train_checkpoints(
+            LR_TOY, [LrConfig(learning_rate=0.1, epochs=e) for e in (50, 20)])
         alone = lr_train(LR_TOY, LrConfig(learning_rate=0.1, epochs=20))
-        assert snapshots[20] == alone
+        assert snapshots[1] == alone
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.builds(LrConfig,
+                              learning_rate=st.sampled_from([0.05, 0.1, 0.5]),
+                              epochs=st.integers(1, 8),
+                              l2_strength=st.sampled_from([0.0, 0.01, 0.3])),
+                    max_size=8))
+    def test_shared_descents_equal_separate_runs(self, configs):
+        assert lr_train_checkpoints(LR_TOY, configs) == [
+            lr_train(LR_TOY, config) for config in configs]
 
     def test_l2_shrinks_weights(self):
         plain = lr_train(LR_TOY, LrConfig(learning_rate=0.1, epochs=100))
@@ -245,10 +254,13 @@ class TestLrTraining:
         with pytest.raises(InputError):
             LrConfig(**{field: math.nan})
 
-    @pytest.mark.parametrize("grid", [[0, 50], [-1], []])
+    @pytest.mark.parametrize("grid", [[0, 50], [-1], [0.5]])
     def test_checkpoints_below_one_epoch_rejected(self, grid):
         with pytest.raises(InputError, match="epoch"):
-            lr_train_checkpoints(LR_TOY, LrConfig(epochs=50), grid)
+            lr_train_checkpoints(LR_TOY, [LrConfig(epochs=e) for e in grid])
+
+    def test_no_configs_no_models(self):
+        assert lr_train_checkpoints(LR_TOY, []) == []
 
     def test_empty_data_rejected(self):
         with pytest.raises(InputError):
