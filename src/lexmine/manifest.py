@@ -63,13 +63,19 @@ def _first_undecodable_line(path) -> int:
 
 def atomic_write_text(path, text: str):
     """Write via a temp file in the same directory, then rename over the
-    target so readers never observe a partial file. A target that cannot
-    be written raises InputError naming it, not the temp file."""
+    target so readers never observe a partial file. The file gets the mode
+    `open(path, "w")` would give a new file, not the temp file's 0600. A
+    target that cannot be written raises InputError naming it, not the
+    temp file."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                # the umask can only be read by setting it; put it straight back
+                umask = os.umask(0)
+                os.umask(umask)
+                os.fchmod(handle.fileno(), 0o666 & ~umask)
                 handle.write(text)
             os.replace(tmp_path, path)
         except BaseException:

@@ -149,6 +149,8 @@ class CvConfig:
     lr_learning_rate: float = 0.1
 
     def __post_init__(self):
+        if len(self.ratios) != 3:
+            raise ConfigError(f"ratios must have 3 values, got {len(self.ratios)}")
         if self.algorithm not in ("nb", "lr"):
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         grids = ("nb_alpha_grid",) if self.algorithm == "nb" else ("lr_epoch_grid", "lr_l2_grid")

@@ -1,8 +1,10 @@
 """End-to-end command-line behavior: exit codes, files, manifests."""
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -147,15 +149,12 @@ class TestDictCommands:
         assert out.read_text(encoding="utf-8") == "ibunya\tibunyo|mandehnyo\n"
         capsys.readouterr()
 
-    def test_stats_to_stdout(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
+    def test_stats_to_stdout(self, tmp_path, capsys):
         d = write(tmp_path / "d.tsv", "a\ta\nb\tc\n")
         assert run(["dict", "stats", "--dict", d]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["entries"] == 2
         assert payload["identity_ratio"] == 0.5
-        # without --out the manifest lands in the working directory
-        assert (tmp_path / "lexmine-dict-stats.manifest.json").exists()
 
     def test_stats_to_file(self, tmp_path, capsys):
         d = write(tmp_path / "d.tsv", "a\ta\n")
@@ -619,6 +618,34 @@ class TestManifestHygiene:
         assert manifest_path.read_bytes() == first
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["dict stats", "eval bleu", "eval rouge", "eval stats",
+                                         "eval judge", "sent cv"])
+    def test_default_manifest_name(self, tmp_path, capsys, command):
+        # without --out the manifest and its sidecar land in the working directory
+        argv = command_argv(command, tmp_path)[:-2]
+        assert "--out" not in argv
+        assert run(argv) == 0
+        slug = command.replace(" ", "-")
+        manifest = json.loads(Path(f"lexmine-{slug}.manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["outputs"] == []
+        assert json.loads(Path(f"lexmine-{slug}.timing.json").read_text())["command"] == command
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
+                             ids=["umask-022", "umask-027"])
+    def test_outputs_follow_the_umask(self, tmp_path, capsys, umask, mode):
+        d = write(tmp_path / "d.tsv", "a\tb\n")
+        out = tmp_path / "built.tsv"
+        saved = os.umask(umask)
+        try:
+            assert run(["dict", "build", "--in", d, "--out", str(out)]) == 0
+        finally:
+            os.umask(saved)
+        for path in (out, tmp_path / "built.tsv.manifest.json", tmp_path / "built.tsv.timing.json"):
+            assert stat.S_IMODE(path.stat().st_mode) == mode, path.name
+        capsys.readouterr()
+
     def test_explicit_manifest_path(self, tmp_path, capsys):
         d = write(tmp_path / "d.tsv", "a\tb\n")
         out = tmp_path / "built.tsv"
@@ -698,6 +725,11 @@ RECORD_SCHEMA = {
 }
 
 
+# the options that name a file a command reads
+INPUT_OPTIONS = {"--in", "--dict", "--lexicon", "--src", "--tgt", "--hyp", "--ref", "--corpus",
+                 "--side-a", "--side-b", "--scores-a", "--scores-b", "--data", "--config"}
+
+
 class TestRecordSchema:
     """Every JSON record's keys, pinned: a renamed or added field fails here."""
 
@@ -707,12 +739,19 @@ class TestRecordSchema:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_record_keys(self, tmp_path, capsys, command):
         config_keys, counts_keys, report_paths = RECORD_SCHEMA[command]
-        assert run(command_argv(command, tmp_path)) == 0
+        argv = command_argv(command, tmp_path) + [
+            "--config", write(tmp_path / "run.cfg", "# no settings\n")]
+        assert run(argv) == 0
         manifest = json.loads((tmp_path / "out.manifest.json").read_text())
         envelope = ENVELOPE | ({"seed"} if command == "sent cv" else set())
         assert set(manifest) == envelope
         assert set(manifest["config"]) == config_keys
         assert set(manifest["counts"]) == counts_keys
+        # exactly the files the command was given to read, and the ones it wrote
+        assert set(manifest["inputs"]) == {value for flag, value in zip(argv, argv[1:])
+                                           if flag in INPUT_OPTIONS}
+        out = str(tmp_path / "out")
+        assert manifest["outputs"] == ([out, out + ".oov.json"] if command == "w2w" else [out])
         if report_paths is not None:
             report = tmp_path / ("out.oov.json" if command == "w2w" else "out")
             assert key_paths(json.loads(report.read_text())) == report_paths
@@ -806,12 +845,16 @@ class TestOutputPaths:
     @pytest.mark.parametrize("flag, name", [("--out", "missing/x.tsv"),
                                             ("--manifest", "missing/m.json"),
                                             ("--out", "outdir"),
-                                            ("--out", "outdir/")])
+                                            ("--out", "outdir/"),
+                                            ("--summary", "missing/s.json")])
     def test_unwritable_output_names_the_given_path(self, tmp_path, capsys, flag, name):
         (tmp_path / "outdir").mkdir()
         d = write(tmp_path / "d.tsv", "a\tb\n")
         target = f"{tmp_path}/{name}"
-        argv = ["dict", "build", "--in", d, "--out", str(tmp_path / "x.tsv")]
+        if flag == "--summary":
+            argv = ["w2w", "--dict", d, "--in", d, "--out", str(tmp_path / "x.tsv")]
+        else:
+            argv = ["dict", "build", "--in", d, "--out", str(tmp_path / "x.tsv")]
         if flag == "--out":
             argv[-1] = target
         else:
@@ -821,18 +864,24 @@ class TestOutputPaths:
                   if line.startswith("lexmine:")]
         assert len(errors) == 1
         assert errors[0].startswith(f"lexmine: cannot write {target}: ")
-        assert list(tmp_path.rglob(".tmp-*")) == []
+        # every output path is checked before the command writes anything
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["d.tsv", "outdir"]
 
-    @pytest.mark.parametrize("command", ["dict build", "mine filter", "w2w --summary"])
+    @pytest.mark.parametrize("command", ["dict build", "mine filter", "w2w --summary",
+                                         "w2w default summary"])
     def test_output_naming_an_input_is_refused(self, tmp_path, capsys, command):
         d = write(tmp_path / "d.tsv", "b\tc\na\tz\n")
         corpus = write(tmp_path / "corpus.tsv", "A b c.\tA b c.\t1.000000\ts0\n")
         text = write(tmp_path / "text.txt", POEM + "\n")
+        oov_named = write(tmp_path / "t.oov.json", POEM + "\n")
         argv = {
             "dict build": ["dict", "build", "--in", d, "--out", f"{tmp_path}/./d.tsv"],
             "mine filter": ["mine", "filter", "--in", corpus, "--out", corpus],
             "w2w --summary": ["w2w", "--dict", d, "--in", text,
                               "--out", str(tmp_path / "out.txt"), "--summary", text],
+            # the summary defaults to <out>.oov.json, which here is the input
+            "w2w default summary": ["w2w", "--dict", d, "--in", oov_named,
+                                    "--out", str(tmp_path / "t")],
         }[command]
         before = {path: path.read_bytes() for path in tmp_path.iterdir()}
         assert run(argv) == 1
@@ -840,6 +889,36 @@ class TestOutputPaths:
         assert err.startswith("lexmine: --") and err.count("\n") == 1
         assert "is the same file as" in err
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+# argparse dests of the flags that name no file
+SETTING_DESTS = {"direction", "max_len", "threshold", "trigram_top", "trigram_cap", "one_to_one",
+                 "lowercase", "no_tokenize", "mode", "algorithm", "folds", "ratios", "seed",
+                 "vocab_size"}
+
+
+def leaf_parsers(parser, names=()):
+    """Yield (command, parser) for every command the parser runs."""
+    if parser.get_default("handler"):
+        yield " ".join(names), parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from leaf_parsers(sub, names + (name,))
+
+
+def test_every_flag_is_classified():
+    # a file flag missing from the tables would get no overwrite refusal, no
+    # up-front output check and no manifest digest
+    leaves = dict(leaf_parsers(cli._build_parser()))
+    assert sorted(leaves) == sorted(COMMANDS)
+    files = set(cli._INPUT_FLAGS) | set(cli._OUTPUT_FLAGS)
+    dests = {(command, action.dest) for command, sub in leaves.items()
+             for action in sub._actions if action.option_strings and action.dest != "help"}
+    assert {(command, dest) for command, dest in dests
+            if dest not in files | SETTING_DESTS} == set()
+    # and no table names a flag that no command has
+    assert {dest for _, dest in dests} == files | SETTING_DESTS
 
 
 @pytest.mark.parametrize("module", ["lexmine", "lexmine.cli"])

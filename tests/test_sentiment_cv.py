@@ -156,6 +156,10 @@ class TestCvConfig:
         with pytest.raises(ConfigError):
             CvConfig(algorithm="svm")
 
+    def test_ratios_need_three_values(self):
+        with pytest.raises(ConfigError, match="^ratios must have 3 values, got 2$"):
+            CvConfig(ratios=(0.8, 0.2))
+
     def test_to_dict_round_trips_values(self):
         cfg = CvConfig(algorithm="lr", bpe_vocab_size=300)
         payload = json.loads(json.dumps(asdict(cfg)))
