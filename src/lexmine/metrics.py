@@ -11,8 +11,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import InputError, UndefinedStatisticError
 from .textproc import Sentence, Token, is_punctuation, ngrams
 
@@ -192,6 +190,8 @@ def _side_stats(sentences: list[Sentence]) -> tuple[SideStats, set[str]]:
         vocab.update(t.lower() for t in tokens if not is_punctuation(t))
     if not sentences:
         return SideStats(0, 0.0, 0.0, 0.0, 0.0, 0), vocab
+    import numpy as np
+
     words = np.asarray(word_counts, dtype=float)
     chars = np.asarray(char_counts, dtype=float)
     return SideStats(

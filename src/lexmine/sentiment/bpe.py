@@ -4,9 +4,17 @@ Words are whitespace-pretokenized and lowercased; each gets an end-of-word
 marker symbol. Training greedily merges the most frequent adjacent symbol
 pair (ties: lexicographically smallest pair) until the symbol budget is
 spent or no pair occurs at least twice.
+
+Pair counts are kept incrementally, as in subword-nmt's `learn_bpe.py`
+(Sennrich et al. 2016): a merge recounts only the words that hold the
+merged pair. Each merge is picked from a lazily invalidated heap of
+`(-count, pair)` entries, whose minimum is exactly the rule above. A merge
+pushes the new count of every pair it touched, and a pick pops and skips
+each entry whose count is no longer the pair's current one.
 """
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -109,25 +117,25 @@ def bpe_train(corpus, vocab_size: int) -> BpeModel:
             pair_counts[pair] += n * freq
             pair_words.setdefault(pair, set()).add(wid)
 
+    # one (-count, pair) entry per live pair at its current count, plus stale
+    # entries left behind when a count changed; a pick skips the stale ones
+    heap = [(-count, pair) for pair, count in pair_counts.items()]
+    heapq.heapify(heap)
     merges: list[tuple[str, str]] = []
     symbols_used = len(alphabet)
-    while symbols_used < vocab_size:
-        best_pair = None
-        best_count = 0
-        for pair, count in pair_counts.items():
-            if count < 2 or count < best_count:
-                continue
-            if count > best_count or pair < best_pair:
-                best_pair, best_count = pair, count
-        if best_pair is None:
+    while symbols_used < vocab_size and heap:
+        neg_count, best_pair = heapq.heappop(heap)
+        if -neg_count != pair_counts.get(best_pair, 0):
+            continue
+        if -neg_count < 2:
             break
         merges.append(best_pair)
         symbols_used += 1
-        for wid in sorted(pair_words.get(best_pair, ())):
+        touched = set()
+        # merging never recreates best_pair, so its word set retires with it
+        for wid in pair_words.pop(best_pair):
             symbols, freq = words[wid]
             old_pairs = _word_pairs(symbols)
-            if best_pair not in old_pairs:
-                continue
             new_symbols = tuple(_merge_symbols(list(symbols), best_pair))
             new_pairs = _word_pairs(new_symbols)
             words[wid] = (new_symbols, freq)
@@ -143,6 +151,12 @@ def bpe_train(corpus, vocab_size: int) -> BpeModel:
             for pair, n in new_pairs.items():
                 pair_counts[pair] += n * freq
                 pair_words.setdefault(pair, set()).add(wid)
+            touched.update(old_pairs)
+            touched.update(new_pairs)
+        for pair in touched:
+            count = pair_counts.get(pair)
+            if count is not None:
+                heapq.heappush(heap, (-count, pair))
 
     return BpeModel(merges=merges, vocab_size=vocab_size)
 

@@ -189,7 +189,7 @@ def _grid(train_data, config):
     """Yield `(params, model, predict)` for every grid cell of the configured
     classifier, each grid walked in ascending order. The LR cells train
     from one shared problem, and cells that differ only in epochs share one
-    descent."""
+    descent; each LR model's weight dict is built when its cell is reached."""
     if config.algorithm == "nb":
         for alpha in sorted(config.nb_alpha_grid):
             yield {"alpha": alpha}, nb_train(train_data, alpha=alpha), nb_predict

@@ -4,17 +4,20 @@ Both classifiers are written out in full so their internals can be checked
 directly: NB posteriors against closed-form smoothed-count arithmetic, and
 the LR gradient against finite differences of the loss. LR needs only
 numpy: its sparse products are weighted `np.bincount` sums over coordinate
-arrays. Prediction ties break toward the negative (majority) class.
+arrays. NB is pure Python, so numpy is imported only where LR uses it.
+Prediction ties break toward the negative (majority) class.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from ..errors import DivergenceError, InputError
 from .bpe import FeatureVector
+
+if TYPE_CHECKING:
+    import numpy as np
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -120,11 +123,13 @@ class LrModel:
     config: LrConfig
 
 
-@np.errstate(over="ignore")
 def _logistic(scores: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-s). For s below about -709, e^-s overflows to inf and the
     result is 0, the correct limit, so numpy's overflow warning is silenced."""
-    return 1.0 / (1.0 + np.exp(-scores))
+    import numpy as np
+
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-scores))
 
 
 class _LrProblem:
@@ -137,6 +142,8 @@ class _LrProblem:
     """
 
     def __init__(self, data: list[tuple[FeatureVector, str]]):
+        import numpy as np
+
         _check_labels(label for _, label in data)
         self.feature_ids = sorted({f for features, _ in data for f in features})
         index = {f: i for i, f in enumerate(self.feature_ids)}
@@ -152,19 +159,27 @@ class _LrProblem:
         self.y = np.array([1.0 if label == POSITIVE else 0.0 for _, label in data])
 
     def vectorize(self, weights: dict[str, float]) -> np.ndarray:
+        import numpy as np
+
         return np.array([weights.get(f, 0.0) for f in self.feature_ids])
 
     def scores(self, w: np.ndarray, bias: float) -> np.ndarray:
         """x @ w + bias, one score per row."""
+        import numpy as np
+
         return np.bincount(self.rows, weights=self.vals * w[self.cols],
                            minlength=len(self.y)) + bias
 
     def loss(self, w: np.ndarray, scores: np.ndarray, l2: float) -> float:
+        import numpy as np
+
         margins = scores * (2.0 * self.y - 1.0)
         data_term = float(np.mean(np.logaddexp(0.0, -margins)))
         return data_term + 0.5 * l2 * float(w @ w)
 
     def gradient(self, w: np.ndarray, scores: np.ndarray, l2: float) -> tuple[np.ndarray, float]:
+        import numpy as np
+
         residual = (_logistic(scores) - self.y) / len(self.y)
         xtr = np.bincount(self.cols, weights=self.vals * residual[self.rows],
                           minlength=len(self.feature_ids))
@@ -187,42 +202,47 @@ def lr_gradient(weights: dict[str, float], bias: float,
     return dict(zip(problem.feature_ids, grad_w.tolist())), grad_b
 
 
-# an overflow ends in a non-finite loss, which is reported as divergence
-@np.errstate(over="ignore", invalid="ignore")
 def _lr_descend(problem: _LrProblem, learning_rate: float, l2: float,
                 checkpoints: set[int]) -> dict[int, tuple[np.ndarray, float]]:
+    import numpy as np
+
     w = np.zeros(len(problem.feature_ids))
     bias = 0.0
-    scores = problem.scores(w, bias)
     snapshots = {}
     last = max(checkpoints)
-    for epoch in range(1, last + 1):
-        # each step's scores serve its loss check and the next step's gradient
-        grad_w, grad_b = problem.gradient(w, scores, l2)
-        w = w - learning_rate * grad_w
-        bias = bias - learning_rate * grad_b
+    # an overflow ends in a non-finite loss, which is reported as divergence
+    with np.errstate(over="ignore", invalid="ignore"):
         scores = problem.scores(w, bias)
-        loss = problem.loss(w, scores, l2)
-        if not math.isfinite(loss):
-            raise DivergenceError(f"non-finite loss at epoch {epoch}")
-        if epoch in checkpoints:
-            snapshots[epoch] = (w.copy(), bias)
+        for epoch in range(1, last + 1):
+            # each step's scores serve its loss check and the next step's gradient
+            grad_w, grad_b = problem.gradient(w, scores, l2)
+            w = w - learning_rate * grad_w
+            bias = bias - learning_rate * grad_b
+            scores = problem.scores(w, bias)
+            loss = problem.loss(w, scores, l2)
+            if not math.isfinite(loss):
+                raise DivergenceError(f"non-finite loss at epoch {epoch}")
+            if epoch in checkpoints:
+                snapshots[epoch] = (w.copy(), bias)
     return snapshots
 
 
 def lr_train(data: list[tuple[FeatureVector, str]], config: LrConfig = LrConfig()) -> LrModel:
     """Deterministic full-batch gradient descent from zero initialization."""
-    return lr_train_checkpoints(data, [config])[0]
+    return next(lr_train_checkpoints(data, [config]))
 
 
 def lr_train_checkpoints(data: list[tuple[FeatureVector, str]],
-                         configs: list[LrConfig]) -> list[LrModel]:
+                         configs: list[LrConfig]) -> Iterator[LrModel]:
     """Train one model per config, in order, from one shared problem.
 
     Configs that differ only in `epochs` share one descent, snapshotted at
     each of their epoch counts: full-batch descent makes a shorter run a
     prefix of a longer one, so every snapshot equals a separately trained
-    model. An empty config list returns no models.
+    model. The descents run before this returns; each model's weight dict
+    is built only when the returned iterator reaches its config, so a
+    caller that keeps few models holds few dicts. An empty config list
+    yields no models.
     """
     if not data:
         raise InputError("training data is empty")
@@ -233,12 +253,14 @@ def lr_train_checkpoints(data: list[tuple[FeatureVector, str]],
         epochs_by_run.setdefault(run, set()).add(config.epochs)
     snapshots = {run: _lr_descend(problem, *run, checkpoints)
                  for run, checkpoints in epochs_by_run.items()}
-    models = []
-    for config in configs:
+    feature_ids = problem.feature_ids
+
+    def model(config: LrConfig) -> LrModel:
         w, bias = snapshots[config.learning_rate, config.l2_strength][config.epochs]
-        weights = {f: float(v) for f, v in zip(problem.feature_ids, w) if v != 0.0}
-        models.append(LrModel(weights, bias, config))
-    return models
+        weights = {f: float(v) for f, v in zip(feature_ids, w) if v != 0.0}
+        return LrModel(weights, bias, config)
+
+    return map(model, configs)
 
 
 def lr_predict(model: LrModel, features: FeatureVector) -> str:

@@ -1,6 +1,7 @@
 """BPE training, encoding, and count-feature extraction."""
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
@@ -52,6 +53,86 @@ def naive_merges(texts, vocab_size):
     return merges
 
 
+def scan_merges(texts, vocab_size):
+    """Reference trainer with incremental pair counts that picks each merge
+    by scanning every live pair: the trainer the heap pick replaced."""
+    freq = Counter()
+    for text in texts:
+        freq.update(text.lower().split())
+    words = [(tuple(word) + (EOW,), count) for word, count in sorted(freq.items())]
+    used = len({sym for symbols, _ in words for sym in symbols})
+    pair_counts = Counter()
+    pair_words = {}
+    for wid, (symbols, count) in enumerate(words):
+        for pair, n in Counter(zip(symbols, symbols[1:])).items():
+            pair_counts[pair] += n * count
+            pair_words.setdefault(pair, set()).add(wid)
+    merges = []
+    while used < vocab_size:
+        best, best_count = None, 0
+        for pair, count in pair_counts.items():
+            if count < 2 or count < best_count:
+                continue
+            if count > best_count or pair < best:
+                best, best_count = pair, count
+        if best is None:
+            break
+        merges.append(best)
+        used += 1
+        for wid in sorted(pair_words.get(best, ())):
+            symbols, count = words[wid]
+            old_pairs = Counter(zip(symbols, symbols[1:]))
+            if best not in old_pairs:
+                continue
+            new_symbols = tuple(naive_merge(list(symbols), best))
+            words[wid] = (new_symbols, count)
+            for pair, n in old_pairs.items():
+                pair_counts[pair] -= n * count
+                if pair_counts[pair] <= 0:
+                    del pair_counts[pair]
+                members = pair_words.get(pair)
+                if members is not None:
+                    members.discard(wid)
+                    if not members:
+                        del pair_words[pair]
+            for pair, n in Counter(zip(new_symbols, new_symbols[1:])).items():
+                pair_counts[pair] += n * count
+                pair_words.setdefault(pair, set()).add(wid)
+    return merges
+
+
+# mixed case folds to fewer symbols; runs such as "aaaa" make merges overlap
+pool_word_st = st.one_of(
+    st.text(alphabet="abcdeABE", min_size=1, max_size=8),
+    st.builds(lambda char, n: char * n, st.sampled_from("aAbZ"), st.integers(2, 7)),
+)
+
+
+@st.composite
+def texts_and_budget(draw):
+    """Several texts drawn with repetition from a small word pool, so word
+    frequencies vary, and a budget from one merge up to past the point
+    where no pair is left."""
+    pool = draw(st.lists(pool_word_st, min_size=1, max_size=10))
+    texts = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=10)
+                          .map(" ".join), min_size=1, max_size=4))
+    words = set(" ".join(texts).lower().split())
+    alphabet = set("".join(words)) | {EOW}
+    most_merges = sum(len(word) for word in words)
+    return texts, len(alphabet) + draw(st.integers(1, most_merges + 2))
+
+
+def zipf_corpus(seed, n_types=500, n_tokens=8000):
+    """Seeded consonant-vowel pseudo-words, drawn by Zipf's law."""
+    rng = random.Random(seed)
+    syllables = [c + v for c in "bdgklmnprst" for v in "aeiou"]
+    types = sorted({"".join(rng.choice(syllables) for _ in range(rng.randint(2, 6)))
+                    for _ in range(n_types)})
+    weights = [1.0 / rank for rank in range(1, len(types) + 1)]
+    tokens = rng.choices(rng.sample(types, len(types)), weights=weights, k=n_tokens)
+    return [" ".join(tokens[i:i + 20]) for i in range(0, n_tokens, 20)]
+
+
 class TestTraining:
     def test_most_frequent_pair_first(self):
         model = bpe_train(["aaab aaab"], vocab_size=4)
@@ -91,6 +172,19 @@ class TestTraining:
         vocab_size = len(alphabet) + extra
         model = bpe_train(texts, vocab_size=vocab_size)
         assert model.merges == naive_merges(texts, vocab_size)
+
+    @given(texts_and_budget())
+    @settings(max_examples=300)
+    def test_heap_pick_matches_scan_oracle(self, texts_budget):
+        texts, vocab_size = texts_budget
+        assert bpe_train(texts, vocab_size=vocab_size).merges == scan_merges(texts, vocab_size)
+
+    def test_heap_pick_matches_scan_oracle_on_zipf_corpus(self):
+        # over a thousand merges leave many stale heap entries to skip
+        texts = zipf_corpus(seed=7)
+        merges = bpe_train(texts, vocab_size=2000).merges
+        assert len(merges) > 1000
+        assert merges == scan_merges(texts, 2000)
 
     @given(corpus_st)
     def test_deterministic(self, words):

@@ -204,8 +204,8 @@ class TestLrTraining:
             assert later <= earlier + 1e-12
 
     def test_checkpoints_equal_separate_runs(self):
-        snapshots = lr_train_checkpoints(
-            LR_TOY, [LrConfig(learning_rate=0.1, epochs=e) for e in (50, 20)])
+        snapshots = list(lr_train_checkpoints(
+            LR_TOY, [LrConfig(learning_rate=0.1, epochs=e) for e in (50, 20)]))
         alone = lr_train(LR_TOY, LrConfig(learning_rate=0.1, epochs=20))
         assert snapshots[1] == alone
 
@@ -216,7 +216,7 @@ class TestLrTraining:
                               l2_strength=st.sampled_from([0.0, 0.01, 0.3])),
                     max_size=8))
     def test_shared_descents_equal_separate_runs(self, configs):
-        assert lr_train_checkpoints(LR_TOY, configs) == [
+        assert list(lr_train_checkpoints(LR_TOY, configs)) == [
             lr_train(LR_TOY, config) for config in configs]
 
     def test_l2_shrinks_weights(self):
@@ -260,7 +260,7 @@ class TestLrTraining:
             lr_train_checkpoints(LR_TOY, [LrConfig(epochs=e) for e in grid])
 
     def test_no_configs_no_models(self):
-        assert lr_train_checkpoints(LR_TOY, []) == []
+        assert list(lr_train_checkpoints(LR_TOY, [])) == []
 
     def test_empty_data_rejected(self):
         with pytest.raises(InputError):
