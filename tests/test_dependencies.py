@@ -37,6 +37,31 @@ def test_declared_dependencies_are_the_imported_ones():
     assert declared == imported_third_party() == {"numpy"}
 
 
+def test_lr_cross_validation_loads_no_scipy(tmp_path):
+    lines = []
+    for i in range(40):
+        lines.append(f"positive\tfilm bagus sekali nomor {i}")
+        lines.append(f"negative\tfilm buruk sekali nomor {i}")
+    data = tmp_path / "data.tsv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    script = textwrap.dedent(f"""
+        import sys
+        import lexmine.cli
+        assert "scipy" not in sys.modules, "after import"
+        code = lexmine.cli.run(["sent", "cv", "--data", {str(data)!r},
+                                "--mode", "train-tgt/test-tgt", "--algorithm", "lr",
+                                "--vocab-size", "120", "--out", "report.json"])
+        assert code == 0, code
+        assert "scipy" not in sys.modules, "after sent cv"
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "report.json").exists()
+
+
 def test_numpy_loads_only_for_logistic_regression(tmp_path):
     lines = []
     for i in range(40):
@@ -55,12 +80,10 @@ def test_numpy_loads_only_for_logistic_regression(tmp_path):
             assert code == 0, code
 
         assert "numpy" not in sys.modules, "numpy after import"
-        assert "scipy" not in sys.modules, "scipy after import"
         sent_cv("nb")
         assert "numpy" not in sys.modules, "numpy after sent cv --algorithm nb"
         sent_cv("lr")
         assert "numpy" in sys.modules, "no numpy after sent cv --algorithm lr"
-        assert "scipy" not in sys.modules, "scipy after sent cv --algorithm lr"
     """)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
