@@ -16,10 +16,8 @@ from .version import __version__
 
 from .dictionary import (
     BilingualDictionary,
-    Lexicon,
     dictionary_stats,
     filter_by_lexicon,
-    identity_ratio,
     invert,
     load_dictionary,
     load_lexicon,
@@ -66,12 +64,10 @@ from .textproc import (
     normalize,
     split_sentences,
     tokenize,
-    truncate,
 )
 from .w2w import (
     OovSummary,
     TranslationResult,
-    translate_text,
     translate_tokens,
 )
 
@@ -80,12 +76,12 @@ __all__ = [
     "LexmineError", "InputError", "ParseError", "ConfigError",
     "DivergenceError", "UndefinedStatisticError",
     "Sentence", "tokenize", "normalize", "split_sentences",
-    "ngrams", "truncate", "is_punctuation",
-    "BilingualDictionary", "Lexicon",
+    "ngrams", "is_punctuation",
+    "BilingualDictionary",
     "parse_dictionary", "load_dictionary", "save_dictionary", "load_lexicon",
-    "filter_by_lexicon", "invert", "identity_ratio", "dictionary_stats",
+    "filter_by_lexicon", "invert", "dictionary_stats",
     "TranslationResult", "OovSummary",
-    "translate_tokens", "translate_text",
+    "translate_tokens",
     "Document", "AlignedPair", "MiningConfig", "MiningStats",
     "normalize_title", "align_documents", "align_sentences",
     "diversity_filter", "mine", "read_documents", "read_corpus", "write_corpus",

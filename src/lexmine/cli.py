@@ -30,11 +30,11 @@ from .dictionary import (
 )
 from .errors import ConfigError, InputError, LexmineError, ParseError
 from .manifest import (
-    RunManifest,
     atomic_write_json,
     atomic_write_text,
-    manifest_path_for,
     read_lines,
+    timing_path_for,
+    write_manifest,
 )
 from .metrics import bleu, corpus_stats, judgment_summary, rouge1_f1
 from .mining import (
@@ -48,7 +48,7 @@ from .mining import (
     write_corpus,
 )
 from .sentiment import CvConfig, bpe_train, cross_validate, load_labeled_tsv
-from .textproc import Sentence, normalize, tokenize, truncate
+from .textproc import Sentence, normalize, tokenize
 from .version import __version__
 from .w2w import OovSummary, translate_tokens
 
@@ -136,22 +136,29 @@ _OUTPUT_FLAGS = ("out", "summary", "manifest")
 
 def _check_outputs(args) -> None:
     """Refuse, before anything is written, an output path that cannot be
-    created, and one naming an input file: that would replace the bytes the
+    created; one naming an input file, which would replace the bytes the
     run reads, and the manifest would record the output's digest as the
-    input's."""
+    input's; and two outputs, the timing sidecar included, naming one file,
+    of which only the last written would survive. Outputs may not exist
+    yet, so they are compared by their resolved paths."""
     inputs = [getattr(args, dest, None) for dest in _INPUT_FLAGS]
-    for dest in _OUTPUT_FLAGS:
-        out = getattr(args, dest, None)
-        if not out:
-            continue
+    outputs = [(f"--{dest}", getattr(args, dest)) for dest in _OUTPUT_FLAGS
+               if getattr(args, dest, None)]
+    outputs.append(("timing sidecar", timing_path_for(args.manifest)))
+    claimed = {}
+    for name, out in outputs:
         if os.path.exists(out):
             for path in inputs:
                 if path and os.path.exists(path) and os.path.samefile(out, path):
-                    raise ConfigError(f"--{dest} {out} is the same file as input {path}")
+                    raise ConfigError(f"{name} {out} is the same file as input {path}")
         if os.path.isdir(out):
             raise InputError(f"cannot write {out}: {os.strerror(errno.EISDIR)}")
         if not os.path.isdir(os.path.dirname(out) or os.curdir):
             raise InputError(f"cannot write {out}: {os.strerror(errno.ENOENT)}")
+        real = os.path.realpath(out)
+        if real in claimed:
+            raise ConfigError(f"{name} {out} is the same file as {claimed[real]}")
+        claimed[real] = f"{name} {out}"
 
 
 def _emit_report(args, payload: dict, summary_line: str) -> None:
@@ -221,7 +228,7 @@ def _cmd_w2w(args) -> tuple[dict, dict]:
             translated.append("")
             continue
         if cfg["max_len"]:
-            tokens = truncate(tokens, cfg["max_len"])
+            tokens = tokens[:cfg["max_len"]]
         result = translate_tokens(dictionary, tokens)
         summary.sentences += 1
         summary.oov_tokens += result.oov_count
@@ -575,22 +582,19 @@ def run(argv) -> int:
     started = time.perf_counter()
     slug = "-".join(filter(None, [args.group, getattr(args, "sub", None)]))
     if not args.manifest:
-        args.manifest = (manifest_path_for(args.out) if args.out
+        args.manifest = (f"{args.out}.manifest.json" if args.out
                          else f"{PROG}-{slug}.manifest.json")
     if "summary" in args and not args.summary:
         args.summary = f"{args.out}.oov.json"
     try:
         _check_outputs(args)
         config, counts = args.handler(args)
-        manifest = RunManifest(
-            command=slug.replace("-", " "), version=__version__, config=config,
-            seed=config.get("seed"), counts=counts,
-            outputs=[str(path) for path in (args.out, getattr(args, "summary", None)) if path],
+        write_manifest(
+            args.manifest, slug.replace("-", " "), config,
+            inputs=[getattr(args, dest) for dest in _INPUT_FLAGS if getattr(args, dest, None)],
+            counts=counts,
+            outputs=[path for path in (args.out, getattr(args, "summary", None)) if path],
             timing={"total_s": round(time.perf_counter() - started, 6)})
-        for dest in _INPUT_FLAGS:
-            if getattr(args, dest, None):
-                manifest.add_input(getattr(args, dest))
-        manifest.write(args.manifest)
         return 0
     except LexmineError as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)

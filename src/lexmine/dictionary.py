@@ -2,15 +2,13 @@
 
 File format is TSV: ``source<TAB>target1|target2|...`` with '#' comment
 lines. All words are stored lowercased; multi-word entries are rejected
-because downstream translation is strictly word-to-word. A Lexicon is a
-plain reference wordlist (one word per line) used to drop entries whose
-translations are not registered words.
+because downstream translation is strictly word-to-word.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InputError, ParseError
+from .errors import ParseError
 from .manifest import read_lines
 
 
@@ -34,17 +32,6 @@ class BilingualDictionary:
 
     def pair_set(self) -> set[tuple[str, str]]:
         return {(source, t) for source, targets in self.entries.items() for t in targets}
-
-
-@dataclass
-class Lexicon:
-    words: set[str] = field(default_factory=set)
-
-    def __contains__(self, word: str) -> bool:
-        return word.lower() in self.words
-
-    def __len__(self) -> int:
-        return len(self.words)
 
 
 def _check_single_word(word: str, path, line_no: int) -> str:
@@ -87,17 +74,18 @@ def save_dictionary(dictionary: BilingualDictionary, handle) -> None:
         handle.write(f"{source}\t{'|'.join(dictionary.entries[source])}\n")
 
 
-def load_lexicon(path) -> Lexicon:
+def load_lexicon(path) -> frozenset[str]:
     words = set()
     for line_no, raw in enumerate(read_lines(path), start=1):
         word = raw.strip()
         if not word or word.startswith("#"):
             continue
         words.add(_check_single_word(word, path, line_no))
-    return Lexicon(words)
+    return frozenset(words)
 
 
-def filter_by_lexicon(dictionary: BilingualDictionary, lexicon: Lexicon) -> BilingualDictionary:
+def filter_by_lexicon(dictionary: BilingualDictionary,
+                      lexicon: frozenset[str]) -> BilingualDictionary:
     """Keep only targets registered in the lexicon; drop emptied entries."""
     kept: dict[str, list[str]] = {}
     for source, targets in dictionary.entries.items():
@@ -116,14 +104,6 @@ def invert(dictionary: BilingualDictionary) -> BilingualDictionary:
             if source not in sources:
                 sources.append(source)
     return BilingualDictionary(inverse, (dictionary.direction[1], dictionary.direction[0]))
-
-
-def identity_ratio(dictionary: BilingualDictionary) -> float:
-    """Fraction of entries whose source word is one of its own translations."""
-    if not dictionary.entries:
-        raise InputError("identity_ratio is undefined for an empty dictionary")
-    same = sum(1 for source, targets in dictionary.entries.items() if source in targets)
-    return same / len(dictionary.entries)
 
 
 def dictionary_stats(dictionary: BilingualDictionary) -> dict:

@@ -16,9 +16,9 @@ import json
 import os
 import re
 import tempfile
-from dataclasses import dataclass, field
 
 from .errors import InputError, ParseError
+from .version import __version__
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "lexmine"
@@ -93,10 +93,6 @@ def atomic_write_json(path, payload: dict):
                                        ensure_ascii=False) + "\n")
 
 
-def manifest_path_for(output_path) -> str:
-    return str(output_path) + ".manifest.json"
-
-
 def timing_path_for(manifest_path) -> str:
     base = str(manifest_path)
     if base.endswith(".manifest.json"):
@@ -104,37 +100,22 @@ def timing_path_for(manifest_path) -> str:
     return base + ".timing.json"
 
 
-@dataclass
-class RunManifest:
-    command: str
-    version: str
-    config: dict = field(default_factory=dict)
-    seed: int | None = None
-    inputs: dict = field(default_factory=dict)    # path -> sha256
-    counts: dict = field(default_factory=dict)    # stage -> number
-    outputs: list[str] = field(default_factory=list)
-    timing: dict = field(default_factory=dict)    # stage -> seconds, sidecar only
-
-    def add_input(self, path):
-        self.inputs[str(path)] = sha256_file(path)
-
-    def to_dict(self) -> dict:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "tool": TOOL_NAME,
-            "version": self.version,
-            "command": self.command,
-            "config": self.config,
-            "inputs": dict(sorted(self.inputs.items())),
-            "counts": self.counts,
-            "outputs": list(self.outputs),
-        }
-        if self.seed is not None:
-            payload["seed"] = self.seed
-        return payload
-
-    def write(self, path):
-        atomic_write_json(path, self.to_dict())
-        if self.timing:
-            atomic_write_json(timing_path_for(path),
-                              {"command": self.command, "timing": self.timing})
+def write_manifest(path, command: str, config: dict, inputs, counts: dict,
+                   outputs: list[str], timing: dict) -> None:
+    """Write the manifest of one run to `path`, with the sha256 of each
+    input file, and its `timing` (stage -> seconds) to the sidecar named by
+    `timing_path_for`. A `seed` in `config` is also recorded at top level."""
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "tool": TOOL_NAME,
+        "version": __version__,
+        "command": command,
+        "config": config,
+        "inputs": dict(sorted({str(p): sha256_file(p) for p in inputs}.items())),
+        "counts": counts,
+        "outputs": outputs,
+    }
+    if config.get("seed") is not None:
+        payload["seed"] = config["seed"]
+    atomic_write_json(path, payload)
+    atomic_write_json(timing_path_for(path), {"command": command, "timing": timing})

@@ -250,6 +250,8 @@ def read_documents(path) -> list[Document]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from exc
+        except RecursionError:
+            raise ParseError(path, line_no, "invalid JSON: nested too deeply") from None
         if not isinstance(obj, dict):
             raise ParseError(path, line_no, "expected a JSON object")
         for key in ("id", "title", "text"):

@@ -12,10 +12,7 @@ from .models import (
     LrModel,
     NbModel,
     f1_score,
-    lr_gradient,
-    lr_loss,
     lr_predict,
-    lr_train,
     macro_f1,
     nb_log_posteriors,
     nb_predict,
@@ -36,7 +33,7 @@ __all__ = [
     "BpeModel", "bpe_train", "featurize",
     "LrConfig", "LrModel", "NbModel",
     "f1_score", "macro_f1",
-    "lr_gradient", "lr_loss", "lr_predict", "lr_train",
+    "lr_predict",
     "nb_log_posteriors", "nb_predict", "nb_train",
     "MODES", "CvConfig", "CvReport", "FoldAssignment",
     "LabeledPair",

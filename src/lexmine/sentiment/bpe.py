@@ -65,12 +65,6 @@ class BpeModel:
         return {"vocab_size": self.vocab_size,
                 "merges": [list(pair) for pair in self.merges]}
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "BpeModel":
-        merges = [tuple(pair) for pair in payload["merges"]]
-        return cls(merges=merges, vocab_size=int(payload["vocab_size"]))
-
-
 def _merge_symbols(symbols: list[str], pair: tuple[str, str]) -> list[str]:
     merged = pair[0] + pair[1]
     out = []

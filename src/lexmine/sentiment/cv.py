@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from ..dictionary import BilingualDictionary
 from ..errors import ConfigError, InputError, ParseError
 from ..manifest import read_lines
-from ..w2w import translate_text
+from ..textproc import tokenize
+from ..w2w import translate_tokens
 from .bpe import bpe_train, featurize
 from .models import (
     LABELS,
@@ -224,7 +225,7 @@ def cross_validate(data: list[LabeledPair], config: CvConfig, mode: str,
 
     def test_text(row: LabeledPair) -> str:
         if mode == "train-src/test-w2w":
-            return translate_text(dictionary, row.tgt_text).text
+            return translate_tokens(dictionary, tokenize(row.tgt_text)).text
         return row.tgt_text
 
     fold_results = []

@@ -2,7 +2,7 @@
 
 Both classifiers are written out in full so their internals can be checked
 directly: NB posteriors against closed-form smoothed-count arithmetic, and
-the LR gradient against finite differences of the loss. LR needs only
+the LR gradient against finite differences of `_LrProblem.loss`. LR needs only
 numpy: its sparse products are weighted `np.bincount` sums over coordinate
 arrays. NB is pure Python, so numpy is imported only where LR uses it.
 Prediction ties break toward the negative (majority) class.
@@ -158,11 +158,6 @@ class _LrProblem:
         self.vals = np.array(vals, dtype=np.float64)
         self.y = np.array([1.0 if label == POSITIVE else 0.0 for _, label in data])
 
-    def vectorize(self, weights: dict[str, float]) -> np.ndarray:
-        import numpy as np
-
-        return np.array([weights.get(f, 0.0) for f in self.feature_ids])
-
     def scores(self, w: np.ndarray, bias: float) -> np.ndarray:
         """x @ w + bias, one score per row."""
         import numpy as np
@@ -184,22 +179,6 @@ class _LrProblem:
         xtr = np.bincount(self.cols, weights=self.vals * residual[self.rows],
                           minlength=len(self.feature_ids))
         return xtr + l2 * w, float(residual.sum())
-
-
-def lr_loss(weights: dict[str, float], bias: float,
-            data: list[tuple[FeatureVector, str]], l2_strength: float = 0.0) -> float:
-    problem = _LrProblem(data)
-    w = problem.vectorize(weights)
-    return problem.loss(w, problem.scores(w, bias), l2_strength)
-
-
-def lr_gradient(weights: dict[str, float], bias: float,
-                data: list[tuple[FeatureVector, str]], l2_strength: float = 0.0
-                ) -> tuple[dict[str, float], float]:
-    problem = _LrProblem(data)
-    w = problem.vectorize(weights)
-    grad_w, grad_b = problem.gradient(w, problem.scores(w, bias), l2_strength)
-    return dict(zip(problem.feature_ids, grad_w.tolist())), grad_b
 
 
 def _lr_descend(problem: _LrProblem, learning_rate: float, l2: float,
@@ -225,11 +204,6 @@ def _lr_descend(problem: _LrProblem, learning_rate: float, l2: float,
             if epoch in checkpoints:
                 snapshots[epoch] = (w.copy(), bias)
     return snapshots
-
-
-def lr_train(data: list[tuple[FeatureVector, str]], config: LrConfig = LrConfig()) -> LrModel:
-    """Deterministic full-batch gradient descent from zero initialization."""
-    return next(lr_train_checkpoints(data, [config]))
 
 
 def lr_train_checkpoints(data: list[tuple[FeatureVector, str]],

@@ -147,10 +147,3 @@ def ngrams(tokens: list[Token], n: int) -> Iterator[NGram]:
     if n < 1:
         raise InputError(f"n-gram order must be >= 1, got {n}")
     return zip(*(tokens[i:] for i in range(n)))
-
-
-def truncate(tokens: list[Token], max_len: int) -> list[Token]:
-    """First max_len tokens (identity when the list is shorter)."""
-    if max_len < 1:
-        raise InputError(f"max_len must be >= 1, got {max_len}")
-    return tokens[:max_len]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dictionary import BilingualDictionary
-from .textproc import Token, is_punctuation, tokenize
+from .textproc import Token, is_punctuation
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,3 @@ def translate_tokens(dictionary: BilingualDictionary, tokens: list[Token]) -> Tr
             out.append(lowered)
             oov += 1
     return TranslationResult(out, oov)
-
-
-def translate_text(dictionary: BilingualDictionary, text: str) -> TranslationResult:
-    return translate_tokens(dictionary, tokenize(text))

@@ -12,6 +12,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from lexmine.cli import run as cli_run
@@ -22,8 +23,7 @@ from lexmine.sentiment.cv import CvConfig, LabeledPair, cross_validate, stratifi
 from lexmine.sentiment.models import (
     NEGATIVE,
     POSITIVE,
-    lr_gradient,
-    lr_loss,
+    _LrProblem,
     nb_log_posteriors,
     nb_train,
 )
@@ -339,15 +339,20 @@ def test_c06_classifier_correctness(capsys):
             lr_data.append((fv or {"f0": 1}, rng.choice((POSITIVE, NEGATIVE))))
         weights = {f: rng.uniform(-0.5, 0.5) for f in features}
         bias, l2, eps = 0.2, 0.3, 1e-6
-        grad_w, grad_b = lr_gradient(weights, bias, lr_data, l2_strength=l2)
-        for f in features:
-            plus = dict(weights, **{f: weights[f] + eps})
-            minus = dict(weights, **{f: weights[f] - eps})
-            numeric = (lr_loss(plus, bias, lr_data, l2) -
-                       lr_loss(minus, bias, lr_data, l2)) / (2 * eps)
-            assert grad_w[f] == pytest.approx(numeric, rel=1e-6, abs=1e-9)
-        numeric_b = (lr_loss(weights, bias + eps, lr_data, l2) -
-                     lr_loss(weights, bias - eps, lr_data, l2)) / (2 * eps)
+        problem = _LrProblem(lr_data)
+        assert problem.feature_ids == features
+        w = np.array([weights[f] for f in problem.feature_ids])
+
+        def loss(w, bias):
+            return problem.loss(w, problem.scores(w, bias), l2)
+
+        grad_w, grad_b = problem.gradient(w, problem.scores(w, bias), l2)
+        for i in range(len(w)):
+            step = np.zeros_like(w)
+            step[i] = eps
+            numeric = (loss(w + step, bias) - loss(w - step, bias)) / (2 * eps)
+            assert grad_w[i] == pytest.approx(numeric, rel=1e-6, abs=1e-9)
+        numeric_b = (loss(w, bias + eps) - loss(w, bias - eps)) / (2 * eps)
         assert grad_b == pytest.approx(numeric_b, rel=1e-6, abs=1e-9)
 
         # both classifiers ace a 500-item separable corpus under 5-fold CV

@@ -799,6 +799,16 @@ class TestInputRobustness:
                     "--out", str(tmp_path / "corpus.tsv")]) == 1
         assert capsys.readouterr().err == f"lexmine: {src}:1: expected a JSON object\n"
 
+    def test_deeply_nested_document_line(self, tmp_path, capsys):
+        _, tgt, d = identity_docs(tmp_path)
+        src = write(tmp_path / "src.jsonl", "[" * 100_000 + "\n")
+        out = str(tmp_path / "out.tsv")
+        for argv in (["mine", "docs", "--src", src, "--tgt", tgt, "--out", out],
+                     ["mine", "all", "--src", src, "--tgt", tgt, "--dict", d, "--out", out]):
+            assert run(argv) == 1
+            assert capsys.readouterr().err == (
+                f"lexmine: {src}:1: invalid JSON: nested too deeply\n")
+
     @settings(max_examples=15, deadline=None)
     @given(data=junk_st, config=st.one_of(junk_st, junk_config_st))
     def test_junk_files_exit_cleanly(self, data, config):
@@ -889,6 +899,50 @@ class TestOutputPaths:
         assert err.startswith("lexmine: --") and err.count("\n") == 1
         assert "is the same file as" in err
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_sidecar_naming_an_input_is_refused(self, tmp_path, capsys):
+        # the timing sidecar of r.manifest.json is r.timing.json
+        d = write(tmp_path / "r.timing.json", "a\tb\n")
+        assert run(["dict", "build", "--in", d, "--out", str(tmp_path / "o.tsv"),
+                    "--manifest", str(tmp_path / "r.manifest.json")]) == 1
+        assert capsys.readouterr().err == (
+            f"lexmine: timing sidecar {d} is the same file as input {d}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.timing.json"]
+        assert Path(d).read_text(encoding="utf-8") == "a\tb\n"
+
+    @pytest.mark.parametrize("outputs, clash", [
+        # (flag, file name) pairs given after the command's inputs, and the
+        # stderr line, each {name} in it standing for tmp_path/name
+        ([("--out", "o.tsv"), ("--manifest", "o.tsv")],
+         "--manifest {o.tsv} is the same file as --out {o.tsv}"),
+        ([("--out", "r.timing.json"), ("--manifest", "r.manifest.json")],
+         "timing sidecar {r.timing.json} is the same file as --out {r.timing.json}"),
+        # the manifest defaults to <out>.manifest.json
+        ([("--out", "q.txt"), ("--summary", "q.txt.manifest.json")],
+         "--manifest {q.txt.manifest.json} is the same file as "
+         "--summary {q.txt.manifest.json}"),
+        ([("--out", "q.txt"), ("--summary", "./q.txt")],
+         "--summary {./q.txt} is the same file as --out {q.txt}"),
+        ([("--out", "q.txt"), ("--summary", "s.json"), ("--manifest", "s.json")],
+         "--manifest {s.json} is the same file as --summary {s.json}"),
+        ([("--out", "q.txt"), ("--summary", "s.timing.json"),
+          ("--manifest", "s.manifest.json")],
+         "timing sidecar {s.timing.json} is the same file as --summary {s.timing.json}"),
+    ], ids=["out-manifest", "out-sidecar", "summary-default-manifest", "out-summary",
+            "summary-manifest", "summary-sidecar"])
+    def test_outputs_naming_one_file_are_refused(self, tmp_path, capsys, outputs, clash):
+        d = write(tmp_path / "d.tsv", "a\tb\n")
+        flags = {flag for flag, _ in outputs}
+        argv = ["w2w", "--dict", d, "--in", d] if "--summary" in flags else [
+            "dict", "build", "--in", d]
+        for flag, name in outputs:
+            argv += [flag, f"{tmp_path}/{name}"]
+        assert run(argv) == 1
+        for _, name in outputs:
+            clash = clash.replace(f"{{{name}}}", f"{tmp_path}/{name}")
+        assert capsys.readouterr().err == f"lexmine: {clash}\n"
+        # refused before anything is written
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.tsv"]
 
 
 # argparse dests of the flags that name no file

@@ -8,10 +8,8 @@ from hypothesis import given, strategies as st
 
 from lexmine.dictionary import (
     BilingualDictionary,
-    Lexicon,
     dictionary_stats,
     filter_by_lexicon,
-    identity_ratio,
     invert,
     load_dictionary,
     load_lexicon,
@@ -84,29 +82,29 @@ class TestLookup:
 class TestFilterByLexicon:
     def test_drops_unregistered_target(self):
         d = parse_dictionary(["karambia\tkelapa|kalapo"])
-        kept = filter_by_lexicon(d, Lexicon({"kelapa"}))
+        kept = filter_by_lexicon(d, frozenset({"kelapa"}))
         assert kept.lookup("karambia") == ["kelapa"]
 
     def test_drops_emptied_entry(self):
         d = parse_dictionary(["a\tx", "b\ty"])
-        kept = filter_by_lexicon(d, Lexicon({"x"}))
+        kept = filter_by_lexicon(d, frozenset({"x"}))
         assert len(kept) == 1
         assert kept.lookup("b") is None
 
     def test_empty_lexicon_empties_dictionary(self):
         d = parse_dictionary(["a\tx", "b\ty"])
-        assert len(filter_by_lexicon(d, Lexicon(set()))) == 0
+        assert len(filter_by_lexicon(d, frozenset())) == 0
 
     @given(dictionaries(), st.sets(word_st, max_size=10))
     def test_idempotent(self, d, words):
-        lexicon = Lexicon(words)
+        lexicon = frozenset(words)
         once = filter_by_lexicon(d, lexicon)
         twice = filter_by_lexicon(once, lexicon)
         assert once.pair_set() == twice.pair_set()
 
     @given(dictionaries(), st.sets(word_st, max_size=10))
     def test_only_removes_pairs(self, d, words):
-        kept = filter_by_lexicon(d, Lexicon(words))
+        kept = filter_by_lexicon(d, frozenset(words))
         assert kept.pair_set() <= d.pair_set()
         for _, target in kept.pair_set():
             assert target in words
@@ -138,28 +136,19 @@ class TestInvert:
 class TestIdentityRatio:
     def test_half(self):
         d = parse_dictionary(["a\ta", "b\tc"])
-        assert identity_ratio(d) == 0.5
+        assert dictionary_stats(d)["identity_ratio"] == 0.5
 
     def test_identity_inside_target_list_counts(self):
         d = parse_dictionary(["a\tx|a"])
-        assert identity_ratio(d) == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(InputError):
-            identity_ratio(BilingualDictionary())
+        assert dictionary_stats(d)["identity_ratio"] == 1.0
 
     @given(dictionaries())
     def test_bounded(self, d):
         if len(d):
-            assert 0.0 <= identity_ratio(d) <= 1.0
+            assert 0.0 <= dictionary_stats(d)["identity_ratio"] <= 1.0
 
 
 class TestLexicon:
-    def test_case_insensitive_membership(self):
-        lex = Lexicon({"kelapa"})
-        assert "Kelapa" in lex
-        assert "pohon" not in lex
-
     def test_load_skips_comments(self, tmp_path):
         path = tmp_path / "words.txt"
         path.write_text("# wordlist\nkelapa\n\nPohon\n", encoding="utf-8")

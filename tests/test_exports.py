@@ -1,6 +1,7 @@
 """Public names and the benchmark tracer's targets resolve in the package."""
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -39,3 +40,20 @@ def test_tracer_targets_resolve():
         if not callable(getattr(cls, attr, None)):
             missing.append(counter)
     assert missing == []
+
+
+def test_every_exported_name_has_a_caller():
+    # a name is called when some module loads it as a name or an attribute;
+    # the package __init__ files only re-export, and strings do not count
+    source = Path(lexmine.__file__).resolve().parent
+    loaded = set()
+    for path in source.rglob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    exported = [*lexmine.__all__, *lexmine.sentiment.__all__]
+    assert [name for name in exported if name not in loaded] == []

@@ -222,12 +222,6 @@ class TestEncoding:
         with pytest.raises(InputError):
             BpeModel(merges=[("a", "b"), ("a", "b")], vocab_size=10)
 
-    def test_dict_round_trip(self):
-        model = bpe_train(["aaab aaab caab"], vocab_size=8)
-        clone = BpeModel.from_dict(model.to_dict())
-        assert clone.merges == model.merges
-        assert clone.encode("aaab caab") == model.encode("aaab caab")
-
 
 class TestFeaturize:
     def fully_merging_model(self):

@@ -15,10 +15,7 @@ from lexmine.sentiment.models import (
     _logistic,
     _LrProblem,
     f1_score,
-    lr_gradient,
-    lr_loss,
     lr_predict,
-    lr_train,
     lr_train_checkpoints,
     macro_f1,
     nb_log_posteriors,
@@ -114,31 +111,46 @@ LR_TOY = [
 ]
 
 
+def train(data, config):
+    return next(lr_train_checkpoints(data, [config]))
+
+
+def weight_array(problem, weights):
+    """A weight dict as the array the problem multiplies, in `feature_ids` order."""
+    return np.array([weights.get(f, 0.0) for f in problem.feature_ids])
+
+
 class TestLrGradient:
     def test_matches_central_finite_differences(self):
-        weights = {"f1": 0.3, "f2": -0.2, "f3": 0.05}
+        problem = _LrProblem(LR_TOY)
+        w = weight_array(problem, {"f1": 0.3, "f2": -0.2, "f3": 0.05})
         bias = 0.1
         l2 = 0.3
-        grad_w, grad_b = lr_gradient(weights, bias, LR_TOY, l2_strength=l2)
+
+        def loss(w, bias):
+            return problem.loss(w, problem.scores(w, bias), l2)
+
+        grad_w, grad_b = problem.gradient(w, problem.scores(w, bias), l2)
         eps = 1e-6
-        for feature in weights:
-            plus = dict(weights)
-            minus = dict(weights)
-            plus[feature] += eps
-            minus[feature] -= eps
-            numeric = (lr_loss(plus, bias, LR_TOY, l2) -
-                       lr_loss(minus, bias, LR_TOY, l2)) / (2 * eps)
-            assert grad_w[feature] == pytest.approx(numeric, rel=1e-6, abs=1e-9)
-        numeric_b = (lr_loss(weights, bias + eps, LR_TOY, l2) -
-                     lr_loss(weights, bias - eps, LR_TOY, l2)) / (2 * eps)
+        for i in range(len(w)):
+            step = np.zeros_like(w)
+            step[i] = eps
+            numeric = (loss(w + step, bias) - loss(w - step, bias)) / (2 * eps)
+            assert grad_w[i] == pytest.approx(numeric, rel=1e-6, abs=1e-9)
+        numeric_b = (loss(w, bias + eps) - loss(w, bias - eps)) / (2 * eps)
         assert grad_b == pytest.approx(numeric_b, rel=1e-6, abs=1e-9)
 
     def test_zero_weights_balanced_data_zero_bias_gradient(self):
-        _, grad_b = lr_gradient({}, 0.0, LR_TOY)
+        problem = _LrProblem(LR_TOY)
+        w = weight_array(problem, {})
+        _, grad_b = problem.gradient(w, problem.scores(w, 0.0), 0.0)
         assert grad_b == pytest.approx(0.0, abs=1e-12)
 
     def test_loss_at_zero_is_log_two(self):
-        assert lr_loss({}, 0.0, LR_TOY) == pytest.approx(math.log(2.0), abs=1e-12)
+        problem = _LrProblem(LR_TOY)
+        w = weight_array(problem, {})
+        assert problem.loss(w, problem.scores(w, 0.0), 0.0) == pytest.approx(
+            math.log(2.0), abs=1e-12)
 
 
 features_st = st.dictionaries(st.sampled_from("abcdefgh"), st.integers(1, 5), max_size=5)
@@ -191,14 +203,18 @@ class TestLrTraining:
     def test_separates_toy_data(self):
         data = [({"up": 2}, POSITIVE), ({"up": 1, "down": 1}, POSITIVE),
                 ({"down": 2}, NEGATIVE), ({"down": 3}, NEGATIVE)]
-        model = lr_train(data, LrConfig(learning_rate=0.5, epochs=200))
+        model = train(data, LrConfig(learning_rate=0.5, epochs=200))
         assert [lr_predict(model, fv) for fv, _ in data] == [
             POSITIVE, POSITIVE, NEGATIVE, NEGATIVE]
 
     def test_loss_non_increasing(self):
         models = lr_train_checkpoints(
             LR_TOY, [LrConfig(learning_rate=0.05, epochs=e) for e in range(1, 21)])
-        losses = [lr_loss(m.weights, m.bias, LR_TOY) for m in models]
+        problem = _LrProblem(LR_TOY)
+        losses = []
+        for m in models:
+            w = weight_array(problem, m.weights)
+            losses.append(problem.loss(w, problem.scores(w, m.bias), 0.0))
         assert losses[0] <= math.log(2.0)
         for earlier, later in zip(losses, losses[1:]):
             assert later <= earlier + 1e-12
@@ -206,7 +222,7 @@ class TestLrTraining:
     def test_checkpoints_equal_separate_runs(self):
         snapshots = list(lr_train_checkpoints(
             LR_TOY, [LrConfig(learning_rate=0.1, epochs=e) for e in (50, 20)]))
-        alone = lr_train(LR_TOY, LrConfig(learning_rate=0.1, epochs=20))
+        alone = train(LR_TOY, LrConfig(learning_rate=0.1, epochs=20))
         assert snapshots[1] == alone
 
     @settings(max_examples=40, deadline=None)
@@ -217,12 +233,12 @@ class TestLrTraining:
                     max_size=8))
     def test_shared_descents_equal_separate_runs(self, configs):
         assert list(lr_train_checkpoints(LR_TOY, configs)) == [
-            lr_train(LR_TOY, config) for config in configs]
+            train(LR_TOY, config) for config in configs]
 
     def test_l2_shrinks_weights(self):
-        plain = lr_train(LR_TOY, LrConfig(learning_rate=0.1, epochs=100))
-        ridged = lr_train(LR_TOY, LrConfig(learning_rate=0.1, epochs=100,
-                                           l2_strength=0.5))
+        plain = train(LR_TOY, LrConfig(learning_rate=0.1, epochs=100))
+        ridged = train(LR_TOY, LrConfig(learning_rate=0.1, epochs=100,
+                                        l2_strength=0.5))
         norm = lambda m: sum(v * v for v in m.weights.values())
         assert norm(ridged) < norm(plain)
 
@@ -232,11 +248,11 @@ class TestLrTraining:
         data = [({"f": 1}, POSITIVE), ({"g": 1}, NEGATIVE)]
         config = LrConfig(learning_rate=1e160, epochs=5, l2_strength=1.0)
         with pytest.raises(DivergenceError) as err:
-            lr_train(data, config)
+            train(data, config)
         assert "epoch" in str(err.value)
 
     def test_score_tie_predicts_negative(self):
-        model = lr_train(LR_TOY, LrConfig(epochs=1))
+        model = train(LR_TOY, LrConfig(epochs=1))
         assert lr_predict(model, {}) in (POSITIVE, NEGATIVE)
         zeroed = type(model)(weights={}, bias=0.0, config=model.config)
         assert lr_predict(zeroed, {"f1": 5}) == NEGATIVE
@@ -264,7 +280,7 @@ class TestLrTraining:
 
     def test_empty_data_rejected(self):
         with pytest.raises(InputError):
-            lr_train([], LrConfig())
+            train([], LrConfig())
 
 
 class TestF1:

@@ -15,7 +15,6 @@ from lexmine.textproc import (
     normalize,
     split_sentences,
     tokenize,
-    truncate,
 )
 
 # arbitrary-ish text: words, punctuation, unicode letters, odd spacing
@@ -195,22 +194,6 @@ class TestNgrams:
     def test_matches_slice_oracle(self, tokens, n):
         assert list(ngrams(tokens, n)) == [tuple(tokens[i:i + n])
                                            for i in range(len(tokens) - n + 1)]
-
-
-class TestTruncate:
-    def test_over_limit(self):
-        tokens = [f"w{i}" for i in range(76)]
-        assert truncate(tokens, 75) == tokens[:75]
-
-    def test_empty(self):
-        assert truncate([], 75) == []
-
-    def test_under_limit(self):
-        assert truncate(["a"], 5) == ["a"]
-
-    def test_zero_rejected(self):
-        with pytest.raises(InputError):
-            truncate(["a"], 0)
 
 
 class TestIsPunctuation:

@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 
 from lexmine.cli import run
 from lexmine.dictionary import invert, parse_dictionary
-from lexmine.textproc import is_punctuation
-from lexmine.w2w import OovSummary, translate_text, translate_tokens
+from lexmine.textproc import is_punctuation, tokenize
+from lexmine.w2w import OovSummary, translate_tokens
 
 word_st = st.text(alphabet="abcdef", min_size=1, max_size=5)
 token_st = st.one_of(word_st, st.sampled_from(["!", ",", ".", "?"]))
@@ -100,7 +100,7 @@ class TestIdentityAndRoundTrip:
 class TestTextAndSentence:
     def test_text_is_tokenized_first(self):
         d = parse_dictionary(["karambia\tkelapa"])
-        result = translate_text(d, "Karambia!")
+        result = translate_tokens(d, tokenize("Karambia!"))
         assert result.text == "kelapa !"
 
 
@@ -138,7 +138,7 @@ class TestCorpusSummary:
         lines = [" ".join(tokens) for tokens in sentence_tokens]
         summary = w2w_summary(rows, lines)
         d = parse_dictionary(rows)
-        results = [translate_text(d, line) for line in lines]
+        results = [translate_tokens(d, tokenize(line)) for line in lines]
         assert summary["oov_tokens"] == sum(r.oov_count for r in results)
         assert summary["total_tokens"] == sum(r.total_count for r in results)
         assert summary["sentences"] == len(lines)
