@@ -58,7 +58,6 @@ from .mining import (
     write_corpus,
 )
 from .textproc import (
-    Sentence,
     is_punctuation,
     ngrams,
     normalize,
@@ -75,8 +74,7 @@ __all__ = [
     "__version__",
     "LexmineError", "InputError", "ParseError", "ConfigError",
     "DivergenceError", "UndefinedStatisticError",
-    "Sentence", "tokenize", "normalize", "split_sentences",
-    "ngrams", "is_punctuation",
+    "tokenize", "normalize", "split_sentences", "ngrams", "is_punctuation",
     "BilingualDictionary",
     "parse_dictionary", "load_dictionary", "save_dictionary", "load_lexicon",
     "filter_by_lexicon", "invert", "dictionary_stats",

@@ -48,7 +48,7 @@ from .mining import (
     write_corpus,
 )
 from .sentiment import CvConfig, bpe_train, cross_validate, load_labeled_tsv
-from .textproc import Sentence, normalize, tokenize
+from .textproc import normalize, tokenize
 from .version import __version__
 from .w2w import OovSummary, translate_tokens
 
@@ -347,10 +347,6 @@ def _cmd_eval_rouge(args) -> tuple[dict, dict]:
     return cfg, {"segments": len(scores)}
 
 
-def _lines_to_sentences(path) -> list[Sentence]:
-    return [Sentence(line) for line in read_lines(path) if line.strip()]
-
-
 def _cmd_eval_stats(args) -> tuple[dict, dict]:
     if args.corpus:
         if args.side_a or args.side_b:
@@ -359,8 +355,8 @@ def _cmd_eval_stats(args) -> tuple[dict, dict]:
         side_a = [p.source_sentence for p in pairs]
         side_b = [p.target_sentence for p in pairs]
     elif args.side_a and args.side_b:
-        side_a = _lines_to_sentences(args.side_a)
-        side_b = _lines_to_sentences(args.side_b)
+        side_a = [line for line in read_lines(args.side_a) if line.strip()]
+        side_b = [line for line in read_lines(args.side_b) if line.strip()]
     else:
         raise ConfigError("stats needs --corpus or both --side-a and --side-b")
     stats = corpus_stats(side_a, side_b)
@@ -579,6 +575,12 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    for arg in argv:  # undecodable bytes arrive as lone surrogates
+        try:
+            arg.encode("utf-8")
+        except UnicodeEncodeError:
+            print(f"{PROG}: argument {arg!r} is not valid UTF-8", file=sys.stderr)
+            return 1
     started = time.perf_counter()
     slug = "-".join(filter(None, [args.group, getattr(args, "sub", None)]))
     if not args.manifest:

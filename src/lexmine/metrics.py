@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import InputError, UndefinedStatisticError
-from .textproc import Sentence, Token, is_punctuation, ngrams
+from .textproc import Token, is_punctuation, ngrams, tokenize
 
 BLEU_MAX_ORDER = 4
 
@@ -179,14 +179,14 @@ class CorpusStats:
     std_kind: str = field(default="population", init=False)
 
 
-def _side_stats(sentences: list[Sentence]) -> tuple[SideStats, set[str]]:
+def _side_stats(sentences: list[str]) -> tuple[SideStats, set[str]]:
     vocab: set[str] = set()
     word_counts = []
     char_counts = []
     for sent in sentences:
-        tokens = sent.tokens()
+        tokens = tokenize(sent)
         word_counts.append(len(tokens))
-        char_counts.append(len(sent.text))
+        char_counts.append(len(sent))
         vocab.update(t.lower() for t in tokens if not is_punctuation(t))
     if not sentences:
         return SideStats(0, 0.0, 0.0, 0.0, 0.0, 0), vocab
@@ -204,7 +204,7 @@ def _side_stats(sentences: list[Sentence]) -> tuple[SideStats, set[str]]:
     ), vocab
 
 
-def corpus_stats(side_a: list[Sentence], side_b: list[Sentence]) -> CorpusStats:
+def corpus_stats(side_a: list[str], side_b: list[str]) -> CorpusStats:
     """Per-side length statistics plus vocabulary overlap."""
     stats_a, vocab_a = _side_stats(side_a)
     stats_b, vocab_b = _side_stats(side_b)

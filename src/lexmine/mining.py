@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -16,10 +17,11 @@ from dataclasses import dataclass
 from .dictionary import BilingualDictionary
 from .errors import InputError, ParseError
 from .manifest import read_lines
-from .textproc import Sentence, is_punctuation, ngrams, normalize, split_sentences
+from .textproc import is_punctuation, ngrams, normalize, split_sentences, tokenize
 from .w2w import translate_tokens
 
 _TITLE_WS = re.compile(r"\s+")
+_SURROGATE = re.compile("[\ud800-\udfff]")  # only a JSON escape can make one
 
 
 @dataclass(frozen=True)
@@ -31,8 +33,8 @@ class Document:
 
 @dataclass(frozen=True)
 class AlignedPair:
-    source_sentence: Sentence
-    target_sentence: Sentence
+    source_sentence: str
+    target_sentence: str
     score: float
     doc_id: str
 
@@ -83,7 +85,7 @@ def align_documents(src_docs: list[Document], tgt_docs: list[Document]
 
 
 def align_sentences(pair: tuple[Document, Document], dictionary: BilingualDictionary,
-                    cfg: MiningConfig, src_sentences: list[Sentence] | None = None
+                    cfg: MiningConfig, src_sentences: list[str] | None = None
                     ) -> list[AlignedPair]:
     """Best-target sentence alignment inside one document pair.
 
@@ -111,14 +113,14 @@ def align_sentences(pair: tuple[Document, Document], dictionary: BilingualDictio
     postings: dict[str, list[tuple[int, int]]] = {}
     tgt_lengths = []
     for j, tgt_sentence in enumerate(tgt_sentences):
-        tokens = normalize(tgt_sentence.tokens())
+        tokens = normalize(tokenize(tgt_sentence))
         tgt_lengths.append(len(tokens))
         for word, count in Counter(tokens).items():
             postings.setdefault(word, []).append((j, count))
 
     candidates: list[tuple[float, int, int]] = []  # (score, src_idx, tgt_idx)
     for i, src_sentence in enumerate(src_sentences):
-        translated = translate_tokens(dictionary, src_sentence.tokens()).tokens
+        translated = translate_tokens(dictionary, tokenize(src_sentence)).tokens
         overlap: dict[int, int] = {}
         for word, count in Counter(translated).items():
             for j, tgt_count in postings.get(word, ()):
@@ -157,7 +159,7 @@ def diversity_filter(pairs: list[AlignedPair], cfg: MiningConfig) -> list[Aligne
     sheds its lowest-scoring sentences (ties: input order) until it fits,
     and counts are recomputed. Output preserves input order.
     """
-    trigram_sets = [set(ngrams(normalize(p.source_sentence.tokens()), 3)) for p in pairs]
+    trigram_sets = [set(ngrams(normalize(tokenize(p.source_sentence)), 3)) for p in pairs]
     occurrence = Counter()
     for trigrams in trigram_sets:
         occurrence.update(trigrams)
@@ -257,10 +259,12 @@ def read_documents(path) -> list[Document]:
         for key in ("id", "title", "text"):
             if key not in obj:
                 raise ParseError(path, line_no, f"missing field {key!r}")
-        doc_id = str(obj["id"])
-        if any(ch in doc_id for ch in "\t\n\r"):
-            raise ParseError(path, line_no, f"id {doc_id!r} holds a tab or line break")
-        docs.append(Document(doc_id, str(obj["title"]), str(obj["text"])))
+        doc = Document(str(obj["id"]), str(obj["title"]), str(obj["text"]))
+        if any(_SURROGATE.search(value) for value in (doc.id, doc.title, doc.text)):
+            raise ParseError(path, line_no, "invalid JSON: lone surrogate")
+        if any(ch in doc.id for ch in "\t\n\r"):
+            raise ParseError(path, line_no, f"id {doc.id!r} holds a tab or line break")
+        docs.append(doc)
     return docs
 
 
@@ -268,7 +272,7 @@ def write_corpus(pairs: list[AlignedPair], handle) -> None:
     """TSV: source, target, score, doc_id."""
     for pair in pairs:
         handle.write(
-            f"{pair.source_sentence.text}\t{pair.target_sentence.text}"
+            f"{pair.source_sentence}\t{pair.target_sentence}"
             f"\t{pair.score:.6f}\t{pair.doc_id}\n"
         )
 
@@ -289,6 +293,8 @@ def read_corpus(path) -> list[AlignedPair]:
         try:
             score = float(score_text)
         except ValueError:
-            raise ParseError(path, line_no, f"bad score {score_text!r}") from None
-        pairs.append(AlignedPair(Sentence(source), Sentence(target), score, doc_id))
+            score = math.nan
+        if math.isnan(score):  # NaN would break the filter's lowest-score-first order
+            raise ParseError(path, line_no, f"bad score {score_text!r}")
+        pairs.append(AlignedPair(source, target, score, doc_id))
     return pairs

@@ -1,14 +1,13 @@
 """Deterministic tokenization, sentence segmentation, and n-gram extraction.
 
 All other modules build on these primitives, so everything here is a pure
-function with no configuration beyond explicit arguments. Tokens are plain
-strings; n-grams are tuples of tokens, case kept as given.
+function with no configuration beyond explicit arguments. Sentences and
+tokens are plain strings; n-grams are tuples of tokens, case kept as given.
 """
 from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InputError
@@ -31,22 +30,6 @@ def _is_punct_char(ch: str) -> bool:
 def is_punctuation(token: str) -> bool:
     """True if every character of the token is punctuation or a symbol."""
     return bool(token) and not token.isalnum() and all(_is_punct_char(ch) for ch in token)
-
-
-@dataclass(frozen=True)
-class Sentence:
-    """A single segmented sentence; token list is derived on demand."""
-
-    text: str
-
-    def tokens(self) -> list[Token]:
-        return tokenize(self.text)
-
-    def __post_init__(self):
-        if not self.text.strip():
-            raise InputError("sentence text is empty")
-        if "\n" in self.text or "\r" in self.text:
-            raise InputError("sentence text contains a newline")
 
 
 def tokenize(text: str) -> list[Token]:
@@ -81,24 +64,21 @@ def normalize(tokens: list[Token]) -> list[Token]:
     return [t.lower() for t in tokens]
 
 
-def _is_abbreviation(word: str, abbreviations: frozenset[str]) -> bool:
-    # Short capitalized words ("A.", "Dr.") read as initials/abbreviations;
-    # anything else must be listed explicitly.
-    if word.lower() in abbreviations:
-        return True
+def _is_abbreviation(word: str) -> bool:
+    # Short capitalized words ("A.", "Dr.") read as initials/abbreviations.
     return len(word) <= 2 and word.isalpha() and word[0].isupper()
 
 
-def split_sentences(text: str, abbreviations: frozenset[str] = frozenset()) -> list[Sentence]:
+def split_sentences(text: str) -> list[str]:
     """Segment text on terminal punctuation ('.', '!', '?').
 
     A terminator ends a sentence when it is the last non-space character or
     is followed by whitespace and then an uppercase letter or digit. A '.'
-    after a short capitalized word or a listed abbreviation does not split.
+    after a short capitalized word (at most two letters) does not split.
     Whitespace (including newlines) inside each sentence is collapsed to
     single spaces; no non-whitespace character is dropped.
     """
-    sentences: list[Sentence] = []
+    sentences: list[str] = []
     start = 0
     n = len(text)
 
@@ -106,7 +86,7 @@ def split_sentences(text: str, abbreviations: frozenset[str] = frozenset()) -> l
         nonlocal start
         piece = _WS_RE.sub(" ", text[start:end]).strip()
         if piece:
-            sentences.append(Sentence(piece))
+            sentences.append(piece)
         start = end
 
     i = 0
@@ -128,7 +108,7 @@ def split_sentences(text: str, abbreviations: frozenset[str] = frozenset()) -> l
             k = i
             while k > 0 and text[k - 1].isalnum():
                 k -= 1
-            if _is_abbreviation(text[k:i], abbreviations):
+            if _is_abbreviation(text[k:i]):
                 i = j
                 continue
         if at_end or starts_new:

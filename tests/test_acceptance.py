@@ -27,12 +27,12 @@ from lexmine.sentiment.models import (
     nb_log_posteriors,
     nb_train,
 )
-from lexmine.textproc import Sentence, split_sentences
+from lexmine.textproc import split_sentences, tokenize
 from lexmine.w2w import translate_tokens
 
 
 def pair_with(text, score, idx):
-    return AlignedPair(Sentence(text), Sentence(f"t{idx}"), score, f"doc{idx}")
+    return AlignedPair(text, f"t{idx}", score, f"doc{idx}")
 
 
 @contextlib.contextmanager
@@ -210,7 +210,7 @@ def test_c03_alignment_recovery(capsys):
                                  render_sentence(tgt_items[j][1]), score))
             planted_total += sum(1 for truth, _ in src_items if truth is not None)
 
-        got = [(p.source_sentence.text, p.target_sentence.text, p.score) for p in pairs]
+        got = [(p.source_sentence, p.target_sentence, p.score) for p in pairs]
         assert got == expected
 
         # every planted pair is recovered (contract floor is 95%) and no
@@ -235,7 +235,7 @@ def test_c04_trigram_cap(capsys):
         def recount(kept):
             counts = {}
             for p in kept:
-                tokens = [t.lower() for t in p.source_sentence.tokens()]
+                tokens = [t.lower() for t in tokenize(p.source_sentence)]
                 grams = {tuple(tokens[i:i + 3]) for i in range(len(tokens) - 2)}
                 for g in grams:
                     counts[g] = counts.get(g, 0) + 1

@@ -809,6 +809,33 @@ class TestInputRobustness:
             assert capsys.readouterr().err == (
                 f"lexmine: {src}:1: invalid JSON: nested too deeply\n")
 
+    @pytest.mark.parametrize("field", ["id", "title", "text"])
+    @pytest.mark.parametrize("command", ["docs", "all"])
+    def test_lone_surrogate_document_line(self, tmp_path, capsys, field, command):
+        # a lone surrogate escape decodes to text that cannot be written as UTF-8
+        _, tgt, d = identity_docs(tmp_path)
+        row = {"id": "a", "title": "T", "text": "A b c."}
+        row[field] += "\ud800"
+        src = write_docs(tmp_path / "src.jsonl", [row])
+        before = sorted(tmp_path.iterdir())
+        argv = ["mine", command, "--src", src, "--tgt", tgt,
+                "--out", str(tmp_path / "out.tsv")]
+        assert run(argv + (["--dict", d] if command == "all" else [])) == 1
+        assert capsys.readouterr().err == f"lexmine: {src}:1: invalid JSON: lone surrogate\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    # "\udcff" is the byte 0xff as sys.argv carries it (os.fsdecode(b"\xff"))
+    @pytest.mark.parametrize("name, direction", [("\udcff.tsv", "a:b"), ("d.tsv", "\udcff:b")],
+                             ids=["in", "direction"])
+    def test_non_utf8_argument(self, tmp_path, capsys, name, direction):
+        d = write(tmp_path / name, "a\tb\n")
+        argv = ["dict", "build", "--in", d, "--out", str(tmp_path / "built.tsv"),
+                "--direction", direction]
+        bad = next(arg for arg in argv if "\udcff" in arg)
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"lexmine: argument {bad!r} is not valid UTF-8\n"
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
     @settings(max_examples=15, deadline=None)
     @given(data=junk_st, config=st.one_of(junk_st, junk_config_st))
     def test_junk_files_exit_cleanly(self, data, config):

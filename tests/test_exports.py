@@ -57,3 +57,35 @@ def test_every_exported_name_has_a_caller():
                 loaded.add(node.attr)
     exported = [*lexmine.__all__, *lexmine.sentiment.__all__]
     assert [name for name in exported if name not in loaded] == []
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a parameter with a default that no call in the package passes is a
+    # knob nobody turns; a call passes it by position or by keyword
+    source = Path(lexmine.__file__).resolve().parent
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in source.rglob("*.py")}
+    passed = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+                passed.update((name, i) for i in range(len(node.args)))
+                passed.update((name, kw.arg) for kw in node.keywords if kw.arg)
+    unpassed = []
+    for path, tree in trees.items():
+        if path.name == "__init__.py":
+            continue
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            defaulted = [(i, a.arg) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            defaulted += [(None, a.arg) for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+            unpassed += [f"{node.name}({arg})" for i, arg in defaulted
+                         if (node.name, i) not in passed and (node.name, arg) not in passed]
+    assert unpassed == []

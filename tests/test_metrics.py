@@ -15,7 +15,6 @@ from lexmine.metrics import (
     pearson,
     rouge1_f1,
 )
-from lexmine.textproc import Sentence
 
 token_st = st.sampled_from(list("abcdefg"))
 segment_st = st.lists(token_st, min_size=1, max_size=10)
@@ -284,8 +283,8 @@ class TestJudgmentSummary:
 
 class TestCorpusStats:
     def test_two_sided_toy(self):
-        side_a = [Sentence("a b"), Sentence("a c d")]
-        side_b = [Sentence("a e!")]
+        side_a = ["a b", "a c d"]
+        side_b = ["a e!"]
         stats = corpus_stats(side_a, side_b)
         assert stats.side_a.sentences == 2
         assert stats.side_a.mean_words == pytest.approx(2.5)
@@ -298,7 +297,7 @@ class TestCorpusStats:
         assert not stats.empty
 
     def test_case_folded_vocab(self):
-        stats = corpus_stats([Sentence("A a")], [Sentence("b")])
+        stats = corpus_stats(["A a"], ["b"])
         assert stats.side_a.vocab_size == 1
 
     def test_empty(self):
@@ -314,8 +313,8 @@ class TestCorpusStats:
     @given(st.lists(st.lists(token_st, min_size=1, max_size=6), min_size=1, max_size=6),
            st.lists(st.lists(token_st, min_size=1, max_size=6), min_size=1, max_size=6))
     def test_overlap_bounded_by_smaller_vocab(self, words_a, words_b):
-        side_a = [Sentence(" ".join(ws)) for ws in words_a]
-        side_b = [Sentence(" ".join(ws)) for ws in words_b]
+        side_a = [" ".join(ws) for ws in words_a]
+        side_b = [" ".join(ws) for ws in words_b]
         stats = corpus_stats(side_a, side_b)
         assert stats.overlapping_vocab <= min(
             stats.side_a.vocab_size, stats.side_b.vocab_size)

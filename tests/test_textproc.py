@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from lexmine.errors import InputError
 from lexmine.textproc import (
-    Sentence,
     is_punctuation,
     ngrams,
     normalize,
@@ -70,6 +69,7 @@ class TestTokenize:
 
     def test_wrapping_punctuation(self):
         assert tokenize("(Really.)") == ["(", "Really", ".", ")"]
+        assert tokenize("Ini rumah.") == ["Ini", "rumah", "."]
 
     @given(text_strategy)
     def test_no_whitespace_inside_tokens(self, text):
@@ -101,59 +101,44 @@ class TestTokenize:
 
 class TestSplitSentences:
     def test_two_periods(self):
-        assert [s.text for s in split_sentences("A b. C d.")] == ["A b.", "C d."]
+        assert split_sentences("A b. C d.") == ["A b.", "C d."]
 
-    def test_abbreviation_needs_listing(self):
-        # "Hlm" is 3 letters, so it only survives as one sentence when listed
-        assert [s.text for s in split_sentences("Hlm. 5 penting.")] == [
-            "Hlm.", "5 penting."]
-        assert [s.text for s in split_sentences(
-            "Hlm. 5 penting.", abbreviations=frozenset({"hlm"}))] == [
-            "Hlm. 5 penting."]
+    def test_three_letter_abbreviation_splits(self):
+        # "Hlm" is 3 letters, longer than the short capitalized words kept
+        assert split_sentences("Hlm. 5 penting.") == ["Hlm.", "5 penting."]
 
     def test_short_capitalized_word_does_not_split(self):
-        assert [s.text for s in split_sentences("Dr. Smith pergi. Dia pulang.")] == [
+        assert split_sentences("Dr. Smith pergi. Dia pulang.") == [
             "Dr. Smith pergi.", "Dia pulang."]
 
     def test_empty(self):
         assert split_sentences("") == []
 
     def test_terminator_run_is_one_boundary(self):
-        assert [s.text for s in split_sentences("Apa?! Dia tahu... Ya.")] == [
+        assert split_sentences("Apa?! Dia tahu... Ya.") == [
             "Apa?!", "Dia tahu...", "Ya."]
 
     def test_lowercase_continuation_does_not_split(self):
-        assert [s.text for s in split_sentences("Berat 3.5 kg. semua setuju")] == [
+        assert split_sentences("Berat 3.5 kg. semua setuju") == [
             "Berat 3.5 kg. semua setuju"]
 
     def test_newlines_collapse(self):
         got = split_sentences("Baris satu\ndua. Baris  tiga.")
-        assert [s.text for s in got] == ["Baris satu dua.", "Baris tiga."]
+        assert got == ["Baris satu dua.", "Baris tiga."]
 
     @given(text_strategy)
     def test_no_character_dropped(self, text):
-        joined = "".join(s.text for s in split_sentences(text))
+        joined = "".join(split_sentences(text))
         assert sorted(joined.replace(" ", "")) == sorted(
             "".join(text.split()))
 
-    @given(text_strategy)
+    @given(st.one_of(text_strategy, st.text(alphabet=st.sampled_from(list("aZ.? \r\n\t")),
+                                            max_size=40)))
     def test_sentences_are_valid(self, text):
         for sentence in split_sentences(text):
-            assert sentence.text.strip()
-            assert "\n" not in sentence.text
-
-
-class TestSentence:
-    def test_rejects_empty(self):
-        with pytest.raises(InputError):
-            Sentence("   ")
-
-    def test_rejects_newline(self):
-        with pytest.raises(InputError):
-            Sentence("a\nb")
-
-    def test_tokens(self):
-        assert Sentence("Ini rumah.").tokens() == ["Ini", "rumah", "."]
+            assert sentence.strip()
+            assert "\n" not in sentence
+            assert "\r" not in sentence
 
 
 class TestNormalize:
