@@ -64,11 +64,7 @@ from .textproc import (
     split_sentences,
     tokenize,
 )
-from .w2w import (
-    OovSummary,
-    TranslationResult,
-    translate_tokens,
-)
+from .w2w import TranslationResult, translate_tokens
 
 __all__ = [
     "__version__",
@@ -78,8 +74,7 @@ __all__ = [
     "BilingualDictionary",
     "parse_dictionary", "load_dictionary", "save_dictionary", "load_lexicon",
     "filter_by_lexicon", "invert", "dictionary_stats",
-    "TranslationResult", "OovSummary",
-    "translate_tokens",
+    "TranslationResult", "translate_tokens",
     "Document", "AlignedPair", "MiningConfig", "MiningStats",
     "normalize_title", "align_documents", "align_sentences",
     "diversity_filter", "mine", "read_documents", "read_corpus", "write_corpus",

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import io
-import json
 import os
 import sys
 import time
@@ -32,6 +30,7 @@ from .errors import ConfigError, InputError, LexmineError, ParseError
 from .manifest import (
     atomic_write_json,
     atomic_write_text,
+    format_json,
     read_lines,
     timing_path_for,
     write_manifest,
@@ -50,7 +49,7 @@ from .mining import (
 from .sentiment import CvConfig, bpe_train, cross_validate, load_labeled_tsv
 from .textproc import normalize, tokenize
 from .version import __version__
-from .w2w import OovSummary, translate_tokens
+from .w2w import translate_tokens
 
 PROG = "lexmine"
 
@@ -167,7 +166,7 @@ def _emit_report(args, payload: dict, summary_line: str) -> None:
         atomic_write_json(args.out, payload)
         print(summary_line)
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
+        print(format_json(payload), end="")
 
 
 # -- dict ----------------------------------------------------------------------
@@ -176,9 +175,7 @@ def _cmd_dict_build(args) -> tuple[dict, dict]:
     cfg = _resolve(args, [("direction", "src:tgt", str)])
     direction = _parse_direction(cfg["direction"])
     dictionary = load_dictionary(args.in_path, direction)
-    buf = io.StringIO()
-    save_dictionary(dictionary, buf)
-    atomic_write_text(args.out, buf.getvalue())
+    save_dictionary(dictionary, args.out)
     print(f"wrote {len(dictionary)} entries to {args.out}", file=sys.stderr)
     return {"direction": list(direction)}, {"entries": len(dictionary)}
 
@@ -187,9 +184,7 @@ def _cmd_dict_filter(args) -> tuple[dict, dict]:
     dictionary = load_dictionary(args.dict)
     lexicon = load_lexicon(args.lexicon)
     filtered = filter_by_lexicon(dictionary, lexicon)
-    buf = io.StringIO()
-    save_dictionary(filtered, buf)
-    atomic_write_text(args.out, buf.getvalue())
+    save_dictionary(filtered, args.out)
     print(f"kept {len(filtered)} of {len(dictionary)} entries", file=sys.stderr)
     return {"lexicon": str(args.lexicon)}, {"entries_before": len(dictionary),
                                             "entries_after": len(filtered),
@@ -199,9 +194,7 @@ def _cmd_dict_filter(args) -> tuple[dict, dict]:
 def _cmd_dict_invert(args) -> tuple[dict, dict]:
     dictionary = load_dictionary(args.dict)
     inverted = invert(dictionary)
-    buf = io.StringIO()
-    save_dictionary(inverted, buf)
-    atomic_write_text(args.out, buf.getvalue())
+    save_dictionary(inverted, args.out)
     print(f"wrote {len(inverted)} inverted entries to {args.out}", file=sys.stderr)
     return ({"direction": list(inverted.direction)},
             {"entries_before": len(dictionary), "entries_after": len(inverted)})
@@ -215,12 +208,15 @@ def _cmd_dict_stats(args) -> tuple[dict, dict]:
 
 # -- w2w -----------------------------------------------------------------------
 
+_MAX_LEN = 75  # tokens translated per input line
+
+
 def _cmd_w2w(args) -> tuple[dict, dict]:
-    cfg = _resolve(args, [("max_len", 75, int)])
+    cfg = _resolve(args, [("max_len", _MAX_LEN, int)])
     if cfg["max_len"] < 0:
         raise ConfigError(f"max-len must be >= 0, got {cfg['max_len']}")
     dictionary = load_dictionary(args.dict)
-    summary = OovSummary()
+    sentences = oov_tokens = total_tokens = 0
     translated = []
     for line in read_lines(args.in_path):
         tokens = tokenize(line)
@@ -230,15 +226,18 @@ def _cmd_w2w(args) -> tuple[dict, dict]:
         if cfg["max_len"]:
             tokens = tokens[:cfg["max_len"]]
         result = translate_tokens(dictionary, tokens)
-        summary.sentences += 1
-        summary.oov_tokens += result.oov_count
-        summary.total_tokens += result.total_count
+        sentences += 1
+        oov_tokens += result.oov_count
+        total_tokens += result.total_count
         translated.append(result.text)
+    summary = {"sentences": sentences, "oov_tokens": oov_tokens, "total_tokens": total_tokens,
+               "oov_rate": oov_tokens / total_tokens if total_tokens else 0.0,
+               "zero_denominator": total_tokens == 0}
     atomic_write_text(args.out, "\n".join(translated) + "\n" if translated else "")
-    atomic_write_json(args.summary, summary.to_dict())
-    print(f"translated {summary.sentences} sentences, "
-          f"{summary.oov_tokens}/{summary.total_tokens} tokens OOV", file=sys.stderr)
-    return {"max_len": cfg["max_len"]}, summary.to_dict()
+    atomic_write_json(args.summary, summary)
+    print(f"translated {sentences} sentences, "
+          f"{oov_tokens}/{total_tokens} tokens OOV", file=sys.stderr)
+    return {"max_len": cfg["max_len"]}, summary
 
 
 # -- mine ----------------------------------------------------------------------
@@ -271,9 +270,7 @@ def _run_mining(args, apply_filter: bool) -> tuple[dict, dict]:
     tgt_docs = read_documents(args.tgt)
     dictionary = load_dictionary(args.dict)
     pairs, stats = mine(src_docs, tgt_docs, dictionary, mining_cfg, apply_filter=apply_filter)
-    buf = io.StringIO()
-    write_corpus(pairs, buf)
-    atomic_write_text(args.out, buf.getvalue())
+    write_corpus(pairs, args.out)
     print(f"paired {stats.document_pairs} documents, "
           f"aligned {stats.aligned_pairs} sentence pairs, "
           f"kept {stats.final_pairs}", file=sys.stderr)
@@ -293,9 +290,7 @@ def _cmd_mine_filter(args) -> tuple[dict, dict]:
         key: row for key, row in _MINING_SETTINGS.items() if key.startswith("trigram_")})
     pairs = read_corpus(args.in_path)
     kept = diversity_filter(pairs, mining_cfg)
-    buf = io.StringIO()
-    write_corpus(kept, buf)
-    atomic_write_text(args.out, buf.getvalue())
+    write_corpus(kept, args.out)
     print(f"kept {len(kept)} of {len(pairs)} pairs", file=sys.stderr)
     return config, {"pairs_before": len(pairs), "pairs_after": len(kept)}
 
@@ -391,7 +386,7 @@ def _cmd_eval_judge(args) -> tuple[dict, dict]:
 # -- sent ----------------------------------------------------------------------
 
 def _cmd_sent_bpe(args) -> tuple[dict, dict]:
-    cfg = _resolve(args, [("vocab_size", 2000, int)])
+    cfg = _resolve(args, [("vocab_size", CvConfig.bpe_vocab_size, int)])
     lines = [line for line in read_lines(args.in_path) if line.strip()]
     if not lines:
         raise InputError(f"{args.in_path} has no text")
@@ -468,10 +463,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", required=True, help="translated sentences")
     sub.add_argument("--summary", help="OOV summary JSON (default: <out>.oov.json)")
     sub.add_argument("--max-len", dest="max_len", type=int,
-                     help="truncate inputs to this many tokens, 0 disables (default 75)")
+                     help=f"truncate inputs to this many tokens, 0 disables (default {_MAX_LEN})")
 
     mine_group = groups.add_parser("mine", help="parallel corpus construction")
     mine_subs = mine_group.add_subparsers(dest="sub", required=True, metavar="stage")
+
+    def trigram_flags(sub):
+        sub.add_argument("--trigram-top", dest="trigram_top", type=int,
+                         help="how many frequent trigrams to watch "
+                              f"(default {MiningConfig.trigram_top_k})")
+        sub.add_argument("--trigram-cap", dest="trigram_cap", type=int,
+                         help="max sentences per watched trigram "
+                              f"(default {MiningConfig.trigram_cap})")
 
     def mining_flags(sub, with_filter=True):
         sub.add_argument("--src", required=True, help="source documents JSONL")
@@ -481,12 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--threshold", type=float,
                          help=f"minimum alignment score (default {MiningConfig.align_threshold})")
         if with_filter:
-            sub.add_argument("--trigram-top", dest="trigram_top", type=int,
-                             help="how many frequent trigrams to watch "
-                                  f"(default {MiningConfig.trigram_top_k})")
-            sub.add_argument("--trigram-cap", dest="trigram_cap", type=int,
-                             help="max sentences per watched trigram "
-                                  f"(default {MiningConfig.trigram_cap})")
+            trigram_flags(sub)
         pairing = sub.add_mutually_exclusive_group()
         pairing.add_argument("--one-to-one", dest="one_to_one", action="store_true",
                              default=None, help="unique targets per document (default)")
@@ -503,8 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
                "apply the trigram diversity filter to a corpus TSV")
     sub.add_argument("--in", dest="in_path", required=True, help="corpus TSV")
     sub.add_argument("--out", required=True)
-    sub.add_argument("--trigram-top", dest="trigram_top", type=int)
-    sub.add_argument("--trigram-cap", dest="trigram_cap", type=int)
+    trigram_flags(sub)
     sub = leaf(mine_subs, "all", _cmd_mine_all, "full pipeline: pair, align, filter")
     mining_flags(sub, with_filter=True)
 
@@ -540,7 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--in", dest="in_path", required=True, help="training text")
     sub.add_argument("--out", required=True, help="model JSON")
     sub.add_argument("--vocab-size", dest="vocab_size", type=int,
-                     help="target vocabulary size (default 2000)")
+                     help=f"target vocabulary size (default {CvConfig.bpe_vocab_size})")
     sub = leaf(sent_subs, "cv", _cmd_sent_cv, "stratified k-fold cross-validation")
     sub.add_argument("--data", required=True,
                      help="TSV: label, src text, optional tgt text")
@@ -548,13 +545,14 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=["train-src/test-tgt", "train-src/test-w2w",
                               "train-tgt/test-tgt"])
     sub.add_argument("--algorithm", choices=["nb", "lr"],
-                     help="classifier (default nb)")
+                     help=f"classifier (default {CvConfig.algorithm})")
     sub.add_argument("--dict", help="tgt->src dictionary TSV (needed for test-w2w)")
-    sub.add_argument("--folds", type=int, help="fold count (default 5)")
-    sub.add_argument("--ratios", help="train,dev,test (default 0.7,0.1,0.2)")
+    sub.add_argument("--folds", type=int, help=f"fold count (default {CvConfig.folds})")
+    sub.add_argument("--ratios", help="train,dev,test "
+                                      f"(default {','.join(map(str, CvConfig.ratios))})")
     sub.add_argument("--seed", type=int, help="shuffle seed")
     sub.add_argument("--vocab-size", dest="vocab_size", type=int,
-                     help="BPE vocabulary size (default 2000)")
+                     help=f"BPE vocabulary size (default {CvConfig.bpe_vocab_size})")
     sub.add_argument("--out", help="JSON report (default: stdout)")
 
     return parser

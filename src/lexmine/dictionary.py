@@ -1,4 +1,4 @@
-"""Bilingual word dictionary: load, filter, invert, query.
+"""Bilingual word dictionary: load, filter, invert, save.
 
 File format is TSV: ``source<TAB>target1|target2|...`` with '#' comment
 lines. All words are stored lowercased; multi-word entries are rejected
@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .manifest import read_lines
+from .manifest import atomic_write_text, read_lines
 
 
 @dataclass
@@ -24,14 +24,6 @@ class BilingualDictionary:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def lookup(self, word: str) -> list[str] | None:
-        """Case-insensitive exact match; None when absent."""
-        targets = self.entries.get(word.lower())
-        return None if targets is None else list(targets)
-
-    def pair_set(self) -> set[tuple[str, str]]:
-        return {(source, t) for source, targets in self.entries.items() for t in targets}
 
 
 def _check_single_word(word: str, path, line_no: int) -> str:
@@ -68,10 +60,10 @@ def load_dictionary(path, direction: tuple[str, str] = ("src", "tgt")) -> Biling
     return parse_dictionary(read_lines(path), direction, path=str(path))
 
 
-def save_dictionary(dictionary: BilingualDictionary, handle) -> None:
-    """Write canonical TSV, sorted by source word."""
-    for source in sorted(dictionary.entries):
-        handle.write(f"{source}\t{'|'.join(dictionary.entries[source])}\n")
+def save_dictionary(dictionary: BilingualDictionary, path) -> None:
+    """Write canonical TSV to `path`, sorted by source word."""
+    atomic_write_text(path, "".join(f"{source}\t{'|'.join(dictionary.entries[source])}\n"
+                                    for source in sorted(dictionary.entries)))
 
 
 def load_lexicon(path) -> frozenset[str]:

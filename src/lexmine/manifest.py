@@ -88,9 +88,13 @@ def atomic_write_text(path, text: str):
         raise InputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
+def format_json(payload: dict) -> str:
+    """The JSON text of every report and manifest: indented, keys sorted."""
+    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
 def atomic_write_json(path, payload: dict):
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True,
-                                       ensure_ascii=False) + "\n")
+    atomic_write_text(path, format_json(payload))
 
 
 def timing_path_for(manifest_path) -> str:

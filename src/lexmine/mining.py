@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .dictionary import BilingualDictionary
 from .errors import InputError, ParseError
-from .manifest import read_lines
+from .manifest import atomic_write_text, read_lines
 from .textproc import is_punctuation, ngrams, normalize, split_sentences, tokenize
 from .w2w import translate_tokens
 
@@ -238,7 +238,7 @@ def mine(src_docs: list[Document], tgt_docs: list[Document],
 # -- file formats ------------------------------------------------------------
 
 def read_documents(path) -> list[Document]:
-    """JSON-lines documents with `id`, `title`, `text` fields.
+    """JSON-lines documents with `id`, `title`, `text` string fields.
 
     An id may not hold a tab or a line break, because it becomes the last
     column of the corpus TSV.
@@ -259,7 +259,9 @@ def read_documents(path) -> list[Document]:
         for key in ("id", "title", "text"):
             if key not in obj:
                 raise ParseError(path, line_no, f"missing field {key!r}")
-        doc = Document(str(obj["id"]), str(obj["title"]), str(obj["text"]))
+            if not isinstance(obj[key], str):
+                raise ParseError(path, line_no, f"field {key!r} is not a string")
+        doc = Document(obj["id"], obj["title"], obj["text"])
         if any(_SURROGATE.search(value) for value in (doc.id, doc.title, doc.text)):
             raise ParseError(path, line_no, "invalid JSON: lone surrogate")
         if any(ch in doc.id for ch in "\t\n\r"):
@@ -268,13 +270,10 @@ def read_documents(path) -> list[Document]:
     return docs
 
 
-def write_corpus(pairs: list[AlignedPair], handle) -> None:
-    """TSV: source, target, score, doc_id."""
-    for pair in pairs:
-        handle.write(
-            f"{pair.source_sentence}\t{pair.target_sentence}"
-            f"\t{pair.score:.6f}\t{pair.doc_id}\n"
-        )
+def write_corpus(pairs: list[AlignedPair], path) -> None:
+    """Write TSV to `path`: source, target, score, doc_id."""
+    atomic_write_text(path, "".join(f"{pair.source_sentence}\t{pair.target_sentence}"
+                                    f"\t{pair.score:.6f}\t{pair.doc_id}\n" for pair in pairs))
 
 
 def read_corpus(path) -> list[AlignedPair]:

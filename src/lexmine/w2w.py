@@ -27,30 +27,6 @@ class TranslationResult:
         return " ".join(self.tokens)
 
 
-@dataclass
-class OovSummary:
-    sentences: int = 0
-    oov_tokens: int = 0
-    total_tokens: int = 0
-
-    @property
-    def rate(self) -> float:
-        return self.oov_tokens / self.total_tokens if self.total_tokens else 0.0
-
-    @property
-    def zero_denominator(self) -> bool:
-        return self.total_tokens == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "sentences": self.sentences,
-            "oov_tokens": self.oov_tokens,
-            "total_tokens": self.total_tokens,
-            "oov_rate": self.rate,
-            "zero_denominator": self.zero_denominator,
-        }
-
-
 def translate_tokens(dictionary: BilingualDictionary, tokens: list[Token]) -> TranslationResult:
     out: list[Token] = []
     oov = 0
@@ -59,7 +35,7 @@ def translate_tokens(dictionary: BilingualDictionary, tokens: list[Token]) -> Tr
             out.append(token)
             continue
         lowered = token.lower()
-        targets = dictionary.lookup(lowered)
+        targets = dictionary.entries.get(lowered)
         if targets:
             out.append(targets[0])
         else:

@@ -655,6 +655,14 @@ class TestManifestHygiene:
         assert json.loads(manifest.read_text())["command"] == "dict build"
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["dict stats", "eval stats", "sent cv"])
+    def test_stdout_report_equals_out_file(self, tmp_path, capsys, command):
+        argv = command_argv(command, tmp_path)
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert run(argv[:-2]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == (tmp_path / "out").read_bytes()
+
     def test_version_field_present(self, tmp_path, capsys):
         d = write(tmp_path / "d.tsv", "a\tb\n")
         out = tmp_path / "built.tsv"
@@ -822,6 +830,21 @@ class TestInputRobustness:
                 "--out", str(tmp_path / "out.tsv")]
         assert run(argv + (["--dict", d] if command == "all" else [])) == 1
         assert capsys.readouterr().err == f"lexmine: {src}:1: invalid JSON: lone surrogate\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("field", ["id", "title", "text"])
+    @pytest.mark.parametrize("command", ["docs", "all"])
+    @pytest.mark.parametrize("value", [None, 1, ["A b c."]], ids=["null", "number", "list"])
+    def test_non_string_document_field(self, tmp_path, capsys, field, command, value):
+        _, tgt, d = identity_docs(tmp_path)
+        row = {"id": "a", "title": "T0", "text": "A b c."}
+        row[field] = value
+        src = write_docs(tmp_path / "src.jsonl", [row])
+        before = sorted(tmp_path.iterdir())
+        argv = ["mine", command, "--src", src, "--tgt", tgt,
+                "--out", str(tmp_path / "out.tsv")]
+        assert run(argv + (["--dict", d, "--threshold", "0"] if command == "all" else [])) == 1
+        assert capsys.readouterr().err == f"lexmine: {src}:1: field {field!r} is not a string\n"
         assert sorted(tmp_path.iterdir()) == before
 
     # "\udcff" is the byte 0xff as sys.argv carries it (os.fsdecode(b"\xff"))

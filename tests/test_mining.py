@@ -460,8 +460,7 @@ class TestFileFormats:
                  AlignedPair("Another.", "Lain.", 1.0, "d2"),
                  AlignedPair("Tak.", "Tidak.", float("inf"), "d3")]
         path = tmp_path / "corpus.tsv"
-        with open(path, "w", encoding="utf-8") as handle:
-            write_corpus(pairs, handle)
+        write_corpus(pairs, path)
         assert read_corpus(path) == pairs
 
     @pytest.mark.parametrize("row, side", [("\tX y.\t0.5\td1\n", "source"),
