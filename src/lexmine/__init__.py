@@ -30,7 +30,6 @@ from .errors import (
     InputError,
     LexmineError,
     ParseError,
-    UndefinedStatisticError,
 )
 from .metrics import (
     BleuReport,
@@ -68,8 +67,7 @@ from .w2w import TranslationResult, translate_tokens
 
 __all__ = [
     "__version__",
-    "LexmineError", "InputError", "ParseError", "ConfigError",
-    "DivergenceError", "UndefinedStatisticError",
+    "LexmineError", "InputError", "ParseError", "ConfigError", "DivergenceError",
     "tokenize", "normalize", "split_sentences", "ngrams", "is_punctuation",
     "BilingualDictionary",
     "parse_dictionary", "load_dictionary", "save_dictionary", "load_lexicon",

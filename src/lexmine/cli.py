@@ -46,7 +46,7 @@ from .mining import (
     read_documents,
     write_corpus,
 )
-from .sentiment import CvConfig, bpe_train, cross_validate, load_labeled_tsv
+from .sentiment import MODES, CvConfig, bpe_train, cross_validate, load_labeled_tsv
 from .textproc import normalize, tokenize
 from .version import __version__
 from .w2w import translate_tokens
@@ -297,7 +297,7 @@ def _cmd_mine_filter(args) -> tuple[dict, dict]:
 
 # -- eval ----------------------------------------------------------------------
 
-def _load_parallel_tokens(args, pretokenized: bool):
+def _load_parallel_tokens(args, pretokenized: bool, lowercase: bool):
     hyp_lines = list(read_lines(args.hyp))
     ref_lines = list(read_lines(args.ref))
     if len(hyp_lines) != len(ref_lines):
@@ -305,29 +305,28 @@ def _load_parallel_tokens(args, pretokenized: bool):
                          f"{args.ref} has {len(ref_lines)}")
     if not hyp_lines:
         raise InputError(f"{args.hyp} is empty")
-    split = str.split if pretokenized else tokenize
-    hyps = [split(line) for line in hyp_lines]
-    refs = [split(line) for line in ref_lines]
-    return hyps, refs
+
+    def split(line):
+        tokens = line.split() if pretokenized else tokenize(line)
+        return normalize(tokens) if lowercase else tokens
+
+    return [split(line) for line in hyp_lines], [split(line) for line in ref_lines]
 
 
 def _cmd_eval_bleu(args) -> tuple[dict, dict]:
     cfg = _resolve(args, [("lowercase", False, _conv_bool),
                           ("no_tokenize", False, _conv_bool)])
-    hyps, refs = _load_parallel_tokens(args, cfg["no_tokenize"])
-    report = bleu(hyps, refs, lowercase=cfg["lowercase"])
+    hyps, refs = _load_parallel_tokens(args, cfg["no_tokenize"], cfg["lowercase"])
+    report = bleu(hyps, refs)
     if args.out:
-        atomic_write_json(args.out, report.to_dict())
+        atomic_write_json(args.out, {**report.to_dict(), "lowercased": cfg["lowercase"]})
     print(f"bleu {report.bleu:.2f}")
     return cfg, {"segments": len(hyps)}
 
 
 def _cmd_eval_rouge(args) -> tuple[dict, dict]:
     cfg = _resolve(args, [("lowercase", False, _conv_bool)])
-    hyps, refs = _load_parallel_tokens(args, pretokenized=False)
-    if cfg["lowercase"]:
-        hyps = [normalize(h) for h in hyps]
-        refs = [normalize(r) for r in refs]
+    hyps, refs = _load_parallel_tokens(args, pretokenized=False, lowercase=cfg["lowercase"])
     scores = [rouge1_f1(h, r) for h, r in zip(hyps, refs)]
     payload = {
         "lines": len(scores),
@@ -375,6 +374,9 @@ def _read_scores(path) -> list[int]:
 def _cmd_eval_judge(args) -> tuple[dict, dict]:
     scores_a = _read_scores(args.scores_a)
     scores_b = _read_scores(args.scores_b)
+    if len(scores_a) != len(scores_b):
+        raise InputError(f"{args.scores_a} has {len(scores_a)} scores but "
+                         f"{args.scores_b} has {len(scores_b)}")
     summary = judgment_summary(scores_a, scores_b)
     if args.out:
         atomic_write_json(args.out, asdict(summary))
@@ -541,9 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = leaf(sent_subs, "cv", _cmd_sent_cv, "stratified k-fold cross-validation")
     sub.add_argument("--data", required=True,
                      help="TSV: label, src text, optional tgt text")
-    sub.add_argument("--mode", required=True,
-                     choices=["train-src/test-tgt", "train-src/test-w2w",
-                              "train-tgt/test-tgt"])
+    sub.add_argument("--mode", required=True, choices=MODES)
     sub.add_argument("--algorithm", choices=["nb", "lr"],
                      help=f"classifier (default {CvConfig.algorithm})")
     sub.add_argument("--dict", help="tgt->src dictionary TSV (needed for test-w2w)")

@@ -38,8 +38,7 @@ def parse_dictionary(lines, direction: tuple[str, str] = ("src", "tgt"),
                      path: str = "<memory>") -> BilingualDictionary:
     """Parse dictionary rows; duplicate sources merge with target dedup."""
     entries: dict[str, list[str]] = {}
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
+    for line_no, line in enumerate(lines, start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         columns = line.split("\t")

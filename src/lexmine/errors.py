@@ -28,7 +28,3 @@ class ConfigError(LexmineError):
 
 class DivergenceError(LexmineError):
     """Numeric optimization produced a non-finite loss."""
-
-
-class UndefinedStatisticError(LexmineError):
-    """A statistic is undefined for the given input (e.g. zero variance)."""

@@ -11,7 +11,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import InputError, UndefinedStatisticError
+from .errors import InputError
 from .textproc import Token, is_punctuation, ngrams, tokenize
 
 BLEU_MAX_ORDER = 4
@@ -48,7 +48,6 @@ class BleuReport:
     hyp_length: int
     ref_length: int
     zero_length: bool = False
-    lowercased: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -58,13 +57,14 @@ class BleuReport:
             "hyp_len": self.hyp_length,
             "ref_len": self.ref_length,
             "zero_length": self.zero_length,
-            "lowercased": self.lowercased,
         }
 
 
-def bleu(hypotheses: list[list[Token]], references: list[list[Token]],
-         lowercase: bool = False) -> BleuReport:
+def bleu(hypotheses: list[list[Token]], references: list[list[Token]]) -> BleuReport:
     """Corpus-level BLEU over 1..4-grams with a single reference per segment.
+
+    Tokens are compared as given: case-fold them first (``normalize``) for
+    case-insensitive scoring.
 
     Clipped n-gram matches and totals are pooled over the whole corpus.
     Zero *matched* counts use exponential smoothing: the k-th zero order
@@ -77,9 +77,6 @@ def bleu(hypotheses: list[list[Token]], references: list[list[Token]],
             f"hypothesis/reference counts differ: {len(hypotheses)} vs {len(references)}")
     if not hypotheses:
         raise InputError("at least one hypothesis is required")
-    if lowercase:
-        hypotheses = [[t.lower() for t in h] for h in hypotheses]
-        references = [[t.lower() for t in r] for r in references]
 
     correct = [0] * BLEU_MAX_ORDER
     total = [0] * BLEU_MAX_ORDER
@@ -95,8 +92,7 @@ def bleu(hypotheses: list[list[Token]], references: list[list[Token]],
             total[n - 1] += len(hyp) - n + 1
 
     if hyp_len == 0:
-        return BleuReport(0.0, (0.0,) * BLEU_MAX_ORDER, 0.0, 0, ref_len,
-                          zero_length=True, lowercased=lowercase)
+        return BleuReport(0.0, (0.0,) * BLEU_MAX_ORDER, 0.0, 0, ref_len, zero_length=True)
 
     precisions = [0.0] * BLEU_MAX_ORDER
     log_sum = 0.0
@@ -115,12 +111,11 @@ def bleu(hypotheses: list[list[Token]], references: list[list[Token]],
 
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     score = 100.0 * bp * math.exp(log_sum / effective_orders)
-    return BleuReport(score, tuple(precisions), bp, hyp_len, ref_len,
-                      lowercased=lowercase)
+    return BleuReport(score, tuple(precisions), bp, hyp_len, ref_len)
 
 
-def pearson(x: list[float], y: list[float]) -> float:
-    """Product-moment correlation; errors on degenerate input."""
+def pearson(x: list[float], y: list[float]) -> float | None:
+    """Product-moment correlation; None when either side has zero variance."""
     if len(x) != len(y):
         raise InputError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 2:
@@ -131,7 +126,7 @@ def pearson(x: list[float], y: list[float]) -> float:
     var_x = sum((a - mx) ** 2 for a in x)
     var_y = sum((b - my) ** 2 for b in y)
     if var_x == 0.0 or var_y == 0.0:
-        raise UndefinedStatisticError("pearson is undefined: zero variance")
+        return None
     return cov / math.sqrt(var_x * var_y)
 
 
@@ -153,11 +148,8 @@ def judgment_summary(scores_a: list[int], scores_b: list[int]) -> JudgmentSummar
         if not isinstance(s, int) or not 1 <= s <= 5:
             raise InputError(f"scores must be integers in 1..5, got {s!r}")
     mean_score = sum((a + b) / 2 for a, b in zip(scores_a, scores_b)) / len(scores_a)
-    try:
-        corr = pearson([float(s) for s in scores_a], [float(s) for s in scores_b])
-        return JudgmentSummary(mean_score, corr, True, len(scores_a))
-    except UndefinedStatisticError:
-        return JudgmentSummary(mean_score, None, False, len(scores_a))
+    corr = pearson([float(s) for s in scores_a], [float(s) for s in scores_b])
+    return JudgmentSummary(mean_score, corr, corr is not None, len(scores_a))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from lexmine.sentiment.models import (
     nb_log_posteriors,
     nb_train,
 )
-from lexmine.textproc import split_sentences, tokenize
+from lexmine.textproc import normalize, split_sentences, tokenize
 from lexmine.w2w import translate_tokens
 
 
@@ -478,12 +478,12 @@ def test_c10_translation_gain(capsys):
     with criterion(capsys, 10, "translation-gain", 30.0):
         rows = bilingual_rows()
         dictionary = bridging_dictionary()
-        refs = [row.src_text.split() for row in rows]
-        raw_hyps = [row.tgt_text.split() for row in rows]
-        w2w_hyps = [translate_tokens(dictionary, row.tgt_text.split()).tokens
+        refs = [normalize(row.src_text.split()) for row in rows]
+        raw_hyps = [normalize(row.tgt_text.split()) for row in rows]
+        w2w_hyps = [normalize(translate_tokens(dictionary, row.tgt_text.split()).tokens)
                     for row in rows]
 
-        raw_score = bleu(raw_hyps, refs, lowercase=True).bleu
-        w2w_score = bleu(w2w_hyps, refs, lowercase=True).bleu
+        raw_score = bleu(raw_hyps, refs).bleu
+        w2w_score = bleu(w2w_hyps, refs).bleu
         assert w2w_score - raw_score >= 10.0
         assert w2w_score > 50.0

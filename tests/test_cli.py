@@ -2,6 +2,10 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
+import hashlib
+import io
 import json
 import os
 import stat
@@ -17,6 +21,7 @@ import lexmine
 from lexmine import cli
 from lexmine.cli import run
 from lexmine.metrics import bleu
+from lexmine.textproc import normalize
 
 POEM = "Satu dua tiga. Ampek limo anam."
 
@@ -116,6 +121,16 @@ class TestExitCodes:
         assert code == 1
         assert "bad.tsv:2" in capsys.readouterr().err
 
+    def test_stray_os_error_is_one_line(self, tmp_path, capsys, monkeypatch):
+        # an input that vanishes between the run and its manifest
+        def vanished(path):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+
+        monkeypatch.setattr(lexmine.manifest, "sha256_file", vanished)
+        d = write(tmp_path / "d.tsv", "a\tb\n")
+        assert run(["dict", "stats", "--dict", d]) == 1
+        assert capsys.readouterr().err == f"lexmine: {d}: No such file or directory\n"
+
 
 class TestDictCommands:
     def test_build_canonicalizes(self, tmp_path, capsys):
@@ -132,6 +147,15 @@ class TestDictCommands:
         assert raw in manifest["inputs"]
         assert len(manifest["inputs"][raw]) == 64
         capsys.readouterr()
+
+    def test_build_rejects_bad_direction(self, tmp_path, capsys):
+        raw = write(tmp_path / "raw.tsv", "a\tx\n")
+        assert run(["dict", "build", "--in", raw, "--out", str(tmp_path / "dict.tsv"),
+                    "--direction", "a:b:c"]) == 1
+        assert capsys.readouterr().err == (
+            "lexmine: direction must look like src:tgt, got 'a:b:c'\n")
+        assert os.listdir(tmp_path) == ["raw.tsv"]
+        assert os.listdir() == []
 
     def test_filter(self, tmp_path, capsys):
         d = write(tmp_path / "d.tsv", "a\tx|q\nb\tq\n")
@@ -197,6 +221,15 @@ class TestW2w:
         assert len(out.read_text().split()) == 80
         capsys.readouterr()
 
+    def test_negative_max_len_rejected(self, tmp_path, capsys):
+        d = write(tmp_path / "d.tsv", "w\tw\n")
+        src = write(tmp_path / "in.txt", "w\n")
+        assert run(["w2w", "--dict", d, "--in", src, "--out", str(tmp_path / "out.txt"),
+                    "--max-len", "-1"]) == 1
+        assert capsys.readouterr().err == "lexmine: max-len must be >= 0, got -1\n"
+        assert sorted(os.listdir(tmp_path)) == ["d.tsv", "in.txt"]
+        assert os.listdir() == []
+
     def test_summary_path_flag(self, tmp_path, capsys):
         d = write(tmp_path / "d.tsv", "a\tb\n")
         src = write(tmp_path / "in.txt", "a\n")
@@ -245,6 +278,29 @@ class TestConfigPrecedence:
         run(["mine", "filter", "--in", corpus, "--out", str(out), "--config", cfg])
         manifest = json.loads((tmp_path / "kept.tsv.manifest.json").read_text())
         assert cfg in manifest["inputs"]
+        capsys.readouterr()
+
+    def test_config_file_true(self, tmp_path, capsys):
+        hyp = write(tmp_path / "h.txt", "A B C D\n")
+        ref = write(tmp_path / "r.txt", "a b c d\n")
+        cfg = write(tmp_path / "run.cfg", "lowercase=true\n")
+        assert run(["eval", "bleu", "--hyp", hyp, "--ref", ref, "--config", cfg]) == 0
+        assert capsys.readouterr().out == "bleu 100.00\n"
+
+    def test_config_file_false(self, tmp_path, capsys):
+        # both source sentences align best to the one target sentence
+        src = write_docs(tmp_path / "src.jsonl", [{"id": "s0", "title": "T",
+                                                   "text": "A b c. A b d."}])
+        tgt = write_docs(tmp_path / "tgt.jsonl", [{"id": "t0", "title": "T", "text": "A b c."}])
+        d = write(tmp_path / "d.tsv", "a\ta\nb\tb\nc\tc\nd\td\n")
+        argv = ["mine", "all", "--src", src, "--tgt", tgt, "--dict", d,
+                "--out", str(tmp_path / "c.tsv")]
+        assert run(argv) == 0
+        assert (tmp_path / "c.tsv").read_text() == "A b c.\tA b c.\t1.000000\ts0\n"
+        cfg = write(tmp_path / "run.cfg", "one_to_one=false\n")
+        assert run(argv + ["--config", cfg]) == 0
+        assert (tmp_path / "c.tsv").read_text() == ("A b c.\tA b c.\t1.000000\ts0\n"
+                                                    "A b d.\tA b c.\t0.750000\ts0\n")
         capsys.readouterr()
 
     def test_malformed_config_line(self, tmp_path, capsys):
@@ -406,19 +462,26 @@ class TestEval:
 
     def test_bleu_lowercases_tokens_once(self, tmp_path, capsys, monkeypatch):
         calls = []
+        folds = []
 
-        def recording_bleu(hypotheses, references, lowercase=False):
-            calls.append((hypotheses, references, lowercase))
-            return bleu(hypotheses, references, lowercase=lowercase)
+        def recording_bleu(hypotheses, references):
+            calls.append((hypotheses, references))
+            return bleu(hypotheses, references)
+
+        def recording_normalize(tokens):
+            folds.append(tokens)
+            return normalize(tokens)
 
         monkeypatch.setattr(cli, "bleu", recording_bleu)
+        monkeypatch.setattr(cli, "normalize", recording_normalize)
         hyp = write(tmp_path / "h.txt", "SATU Dua\n")
         ref = write(tmp_path / "r.txt", "satu dua\n")
         out = tmp_path / "bleu.json"
         assert run(["eval", "bleu", "--hyp", hyp, "--ref", ref, "--lowercase",
                     "--out", str(out)]) == 0
-        # the tokens reach bleu as read; bleu lowercases them
-        assert calls == [([["SATU", "Dua"]], [["satu", "dua"]], True)]
+        # each line's tokens are lowercased once, as read; bleu scores them as given
+        assert folds == [["SATU", "Dua"], ["satu", "dua"]]
+        assert calls == [([["satu", "dua"]], [["satu", "dua"]])]
         assert json.loads(out.read_text())["lowercased"] is True
         capsys.readouterr()
 
@@ -491,6 +554,12 @@ class TestEval:
         a = write(tmp_path / "a.txt", "5\n5\n5\n")
         assert run(["eval", "judge", "--scores-a", a, "--scores-b", a]) == 0
         assert capsys.readouterr().out.strip() == "mean 5.00 pearson undefined"
+
+    def test_judge_score_count_mismatch(self, tmp_path, capsys):
+        a = write(tmp_path / "a.txt", "5\n4\n3\n")
+        b = write(tmp_path / "b.txt", "5\n4\n")
+        assert run(["eval", "judge", "--scores-a", a, "--scores-b", b]) == 1
+        assert capsys.readouterr().err == f"lexmine: {a} has 3 scores but {b} has 2\n"
 
     def test_judge_rejects_bad_score(self, tmp_path, capsys):
         a = write(tmp_path / "a.txt", "5\nsix\n")
@@ -766,6 +835,174 @@ class TestRecordSchema:
         capsys.readouterr()
 
 
+# (command, extra flags): each command once, and the eval runs whose flags
+# change how inputs are read or scored, or reach `pearson: null`. `sent cv
+# --algorithm lr` is left out: its floats come from numpy's exp and
+# logaddexp, whose last bits may differ between machines.
+GOLDEN_RUNS = [(command, ()) for command in COMMANDS] + [
+    ("eval bleu", ("--lowercase",)),
+    ("eval bleu", ("--no-tokenize",)),
+    ("eval bleu", ("--lowercase", "--no-tokenize")),
+    ("eval rouge", ("--lowercase",)),
+    ("eval judge", ("--scores-b", "constant.txt")),
+]
+
+
+def golden_digests(command, flags) -> dict[str, str]:
+    """Run `command_argv(command)` plus `flags` with paths relative to the
+    working directory; return the sha256 (16 hex digits, "" when empty) of
+    stdout, stderr and every output file but the timing sidecar. Print it
+    for each run in an empty directory to renew `GOLDEN_DIGESTS`."""
+    write(Path("constant.txt"), "4\n4\n4\n")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run(command_argv(command, Path()) + list(flags))
+    assert code == 0, stderr.getvalue()
+    blobs = {"stdout": stdout.getvalue().encode("utf-8"),
+             "stderr": stderr.getvalue().encode("utf-8")}
+    blobs.update((path.name, path.read_bytes()) for path in Path().glob("out*")
+                 if not path.name.endswith(".timing.json"))
+    return {name: hashlib.sha256(blob).hexdigest()[:16] if blob else ""
+            for name, blob in sorted(blobs.items())}
+
+
+GOLDEN_DIGESTS = {
+    "dict build": {
+        "out": "9a7d489a74922883",
+        "out.manifest.json": "07c93c4a32680102",
+        "stderr": "b83b9b7ce105913e",
+        "stdout": "",
+    },
+    "dict filter": {
+        "out": "9ba2b924c3c8483d",
+        "out.manifest.json": "e023d7262e760e82",
+        "stderr": "c4d9f807c8c716b8",
+        "stdout": "",
+    },
+    "dict invert": {
+        "out": "9a7d489a74922883",
+        "out.manifest.json": "1015ee71241cb632",
+        "stderr": "a6c72821af157151",
+        "stdout": "",
+    },
+    "dict stats": {
+        "out": "881f0cdd8a17ce6c",
+        "out.manifest.json": "40efd4f7b7c1c7a0",
+        "stderr": "",
+        "stdout": "e63108dff77e1464",
+    },
+    "w2w": {
+        "out": "75fa1e46ad4aa290",
+        "out.manifest.json": "8c6cd5f770101818",
+        "out.oov.json": "fe7697109fdec259",
+        "stderr": "2101c3683c854c23",
+        "stdout": "",
+    },
+    "mine docs": {
+        "out": "009f8d36e4061ced",
+        "out.manifest.json": "61ed382447c6cc6a",
+        "stderr": "744868a3b81d4217",
+        "stdout": "",
+    },
+    "mine sents": {
+        "out": "4a2a5c1d7261783e",
+        "out.manifest.json": "8f66deccf068bb74",
+        "stderr": "29aedae404dfd39d",
+        "stdout": "",
+    },
+    "mine filter": {
+        "out": "6166e2d0524ba159",
+        "out.manifest.json": "05b60a584d235bb0",
+        "stderr": "882a0cb24c361433",
+        "stdout": "",
+    },
+    "mine all": {
+        "out": "4a2a5c1d7261783e",
+        "out.manifest.json": "d81e32b09763f811",
+        "stderr": "29aedae404dfd39d",
+        "stdout": "",
+    },
+    "eval bleu": {
+        "out": "ec6cb2e388aeaec6",
+        "out.manifest.json": "3bad9b08d764de1a",
+        "stderr": "",
+        "stdout": "94f9fa3d91dd510a",
+    },
+    "eval rouge": {
+        "out": "d00b31b864745de2",
+        "out.manifest.json": "a0e8542b2cfd7893",
+        "stderr": "",
+        "stdout": "8603d9b411336ae5",
+    },
+    "eval stats": {
+        "out": "e95d86f9978a252a",
+        "out.manifest.json": "e1a1b7db51ee6019",
+        "stderr": "",
+        "stdout": "e63108dff77e1464",
+    },
+    "eval judge": {
+        "out": "87bf7686ca19b486",
+        "out.manifest.json": "1c760620ea4f95aa",
+        "stderr": "",
+        "stdout": "a5153bf0b2953822",
+    },
+    "sent bpe": {
+        "out": "8e1eeb5576008755",
+        "out.manifest.json": "6dc73f57e20f665a",
+        "stderr": "9577f57497c229b4",
+        "stdout": "",
+    },
+    "sent cv": {
+        "out": "d3fb9d7cc9cf64a2",
+        "out.manifest.json": "abe115088efc189d",
+        "stderr": "eb99b1d81c38188c",
+        "stdout": "f04984b6dac7cb84",
+    },
+    "eval bleu --lowercase": {
+        "out": "c3e150e68333f8eb",
+        "out.manifest.json": "0a37c4227475d3b2",
+        "stderr": "",
+        "stdout": "94f9fa3d91dd510a",
+    },
+    "eval bleu --no-tokenize": {
+        "out": "1a812e081a9b0cf8",
+        "out.manifest.json": "f14cf1846e943eea",
+        "stderr": "",
+        "stdout": "94f9fa3d91dd510a",
+    },
+    "eval bleu --lowercase --no-tokenize": {
+        "out": "537224dcad6a72e2",
+        "out.manifest.json": "56c172f4c28392d2",
+        "stderr": "",
+        "stdout": "94f9fa3d91dd510a",
+    },
+    "eval rouge --lowercase": {
+        "out": "00853f8c044b8b37",
+        "out.manifest.json": "7cfc9459c0cca729",
+        "stderr": "",
+        "stdout": "8603d9b411336ae5",
+    },
+    "eval judge --scores-b constant.txt": {
+        "out": "c19973b71ad910a0",
+        "out.manifest.json": "00e265768fc10f35",
+        "stderr": "",
+        "stdout": "94ae760b70be922d",
+    },
+}
+
+
+class TestGoldenOutputs:
+    """Every byte a command writes, pinned: a change to any output fails here."""
+
+    def test_covers_every_run(self):
+        assert sorted(GOLDEN_DIGESTS) == sorted(" ".join((c, *f)) for c, f in GOLDEN_RUNS)
+
+    @pytest.mark.parametrize("command, flags", GOLDEN_RUNS,
+                             ids=[" ".join((c, *f)) for c, f in GOLDEN_RUNS])
+    def test_outputs_are_pinned(self, command, flags):
+        assert golden_digests(command, flags) == GOLDEN_DIGESTS[" ".join((command, *flags))]
+
+
 # junk text: separators, comment marks, JSON fragments, numbers and
 # non-ASCII text; junk config files also set real keys to junk values
 JUNK_PIECES = ["\t", "|", "#", "=", "\n", " ", "{", "}", "[", "]", '"', ":", ",", "null",
@@ -799,6 +1036,18 @@ class TestInputRobustness:
                      ["eval", "stats", "--corpus", corpus]):
             assert run(argv) == 1
             assert capsys.readouterr().err == f"lexmine: {corpus}:1: empty source sentence\n"
+
+    def test_empty_corpus_line_is_skipped(self, tmp_path, capsys):
+        rows = "A b c.\tA b c.\t1.000000\ts0\n\nD e f.\tD e f.\t1.000000\ts1\n"
+        corpus = write(tmp_path / "corpus.tsv", rows)
+        out = tmp_path / "f.tsv"
+        assert run(["mine", "filter", "--in", corpus, "--out", str(out)]) == 0
+        assert out.read_text() == rows.replace("\n\n", "\n")
+        assert capsys.readouterr().err == "kept 2 of 2 pairs\n"
+        bad = write(tmp_path / "bad.tsv", "A b c.\tA b c.\t1.000000\ts0\n\nbroken\n")
+        assert run(["mine", "filter", "--in", bad, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"lexmine: {bad}:3: expected 4 tab-separated columns, got 1\n")
 
     def test_non_object_document_line(self, tmp_path, capsys):
         _, tgt, d = identity_docs(tmp_path)

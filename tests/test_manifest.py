@@ -1,10 +1,13 @@
-"""The shared input reader."""
+"""The shared input reader and atomic writer."""
 from __future__ import annotations
+
+import errno
+import os
 
 import pytest
 
 from lexmine.errors import InputError, ParseError
-from lexmine.manifest import read_lines
+from lexmine.manifest import atomic_write_text, read_lines
 
 
 class TestReadLines:
@@ -26,3 +29,16 @@ class TestReadLines:
         with pytest.raises(ParseError) as err:
             list(read_lines(path))
         assert str(err.value) == f"{path}:3000: not valid UTF-8"
+
+
+class TestAtomicWrite:
+    def test_failed_rename_names_target_and_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES), src)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        target = tmp_path / "out.txt"
+        with pytest.raises(InputError) as err:
+            atomic_write_text(target, "text\n")
+        assert str(err.value) == f"cannot write {target}: Permission denied"
+        assert os.listdir(tmp_path) == []
