@@ -365,9 +365,12 @@ def _read_scores(path) -> list[int]:
         if not line or line.startswith("#"):
             continue
         try:
-            scores.append(int(line))
+            score = int(line)
         except ValueError as exc:
             raise ParseError(path, line_no, f"expected an integer, got {line!r}") from exc
+        if not 1 <= score <= 5:
+            raise ParseError(path, line_no, f"expected a score in 1..5, got {score}")
+        scores.append(score)
     return scores
 
 

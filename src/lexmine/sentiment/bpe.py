@@ -6,11 +6,23 @@ pair (ties: lexicographically smallest pair) until the symbol budget is
 spent or no pair occurs at least twice.
 
 Pair counts are kept incrementally, as in subword-nmt's `learn_bpe.py`
-(Sennrich et al. 2016): a merge recounts only the words that hold the
-merged pair. Each merge is picked from a lazily invalidated heap of
-`(-count, pair)` entries, whose minimum is exactly the rule above. A merge
-pushes the new count of every pair it touched, and a pick pops and skips
-each entry whose count is no longer the pair's current one.
+(Sennrich et al. 2016). A merge rewrites, in one left-to-right pass, only
+the words that may hold the merged pair. At each occurrence it takes the
+word's frequency off the pairs that touch it (left neighbour, the pair
+itself, right neighbour) and adds it to the merged symbol's new left and
+right pairs; pairs away from every occurrence keep their counts. Each merge
+is picked from a lazily invalidated heap of `(-count, pair)` entries, whose
+minimum is exactly the rule above. A merge pushes the new count of each
+pair whose count changed, and a pick pops and skips each entry whose count
+is no longer the pair's current one.
+
+Training applies the merges to each corpus word in rank order, which is
+what `BpeModel.encode_word` does too, so the trained model's encode cache
+starts with every corpus word's final segmentation. The one exception is
+a word touched by a merge whose symbol was already spelled another way
+(say "</w>" from "<", "/", "w", ">"): the symbol can pair up into an
+earlier merge, which `encode_word` applies and training has passed, so
+such words are left for `encode_word`.
 """
 from __future__ import annotations
 
@@ -79,10 +91,6 @@ def _merge_symbols(symbols: list[str], pair: tuple[str, str]) -> list[str]:
     return out
 
 
-def _word_pairs(symbols: tuple[str, ...]) -> Counter:
-    return Counter(zip(symbols, symbols[1:]))
-
-
 def bpe_train(corpus, vocab_size: int) -> BpeModel:
     """Learn merge rules from a text corpus.
 
@@ -96,19 +104,20 @@ def bpe_train(corpus, vocab_size: int) -> BpeModel:
     if not word_freq:
         raise InputError("BPE training corpus is empty")
 
+    names = sorted(word_freq)
     words: list[tuple[tuple[str, ...], int]] = [
-        (tuple(word) + (EOW,), freq) for word, freq in sorted(word_freq.items())
+        (tuple(word) + (EOW,), word_freq[word]) for word in names
     ]
     alphabet = {sym for symbols, _ in words for sym in symbols}
     if vocab_size <= len(alphabet):
         raise InputError(
             f"vocab_size {vocab_size} must exceed the initial alphabet size {len(alphabet)}")
 
-    pair_counts: Counter = Counter()
+    pair_counts: dict[tuple[str, str], int] = {}
     pair_words: dict[tuple[str, str], set[int]] = {}
     for wid, (symbols, freq) in enumerate(words):
-        for pair, n in _word_pairs(symbols).items():
-            pair_counts[pair] += n * freq
+        for pair in zip(symbols, symbols[1:]):
+            pair_counts[pair] = pair_counts.get(pair, 0) + freq
             pair_words.setdefault(pair, set()).add(wid)
 
     # one (-count, pair) entry per live pair at its current count, plus stale
@@ -117,6 +126,8 @@ def bpe_train(corpus, vocab_size: int) -> BpeModel:
     heapq.heapify(heap)
     merges: list[tuple[str, str]] = []
     symbols_used = len(alphabet)
+    spelled = set(alphabet)
+    diverged: set[int] = set()
     while symbols_used < vocab_size and heap:
         neg_count, best_pair = heapq.heappop(heap)
         if -neg_count != pair_counts.get(best_pair, 0):
@@ -125,34 +136,64 @@ def bpe_train(corpus, vocab_size: int) -> BpeModel:
             break
         merges.append(best_pair)
         symbols_used += 1
-        touched = set()
-        # merging never recreates best_pair, so its word set retires with it
-        for wid in pair_words.pop(best_pair):
+        left, right = best_pair
+        merged = left + right
+        # merging never recreates best_pair, so its word set retires with it;
+        # the set may name words that no longer hold the pair, which merge nothing
+        wids = pair_words.pop(best_pair)
+        if merged in spelled:
+            # a symbol spelled before by another route can pair up into an
+            # earlier merge, which encode_word applies and training has passed
+            diverged.update(wids)
+        spelled.add(merged)
+        delta: dict[tuple[str, str], int] = {}
+        for wid in wids:
             symbols, freq = words[wid]
-            old_pairs = _word_pairs(symbols)
-            new_symbols = tuple(_merge_symbols(list(symbols), best_pair))
-            new_pairs = _word_pairs(new_symbols)
-            words[wid] = (new_symbols, freq)
-            for pair, n in old_pairs.items():
-                pair_counts[pair] -= n * freq
-                if pair_counts[pair] <= 0:
+            out: list[str] = []
+            # a flag, not a string test: ("ab", "c") and ("a", "bc") both spell "abc"
+            prev_merged = False
+            i, n = 0, len(symbols)
+            while i < n:
+                if i + 1 < n and symbols[i] == left and symbols[i + 1] == right:
+                    if out:
+                        if prev_merged:
+                            # the old pair in between was the previous match's right neighbour
+                            new = (merged, merged)
+                        else:
+                            old = (out[-1], left)
+                            delta[old] = delta.get(old, 0) - freq
+                            new = (out[-1], merged)
+                        delta[new] = delta.get(new, 0) + freq
+                        pair_words.setdefault(new, set()).add(wid)
+                    delta[best_pair] = delta.get(best_pair, 0) - freq
+                    if i + 2 < n:
+                        old = (right, symbols[i + 2])
+                        delta[old] = delta.get(old, 0) - freq
+                    out.append(merged)
+                    prev_merged = True
+                    i += 2
+                else:
+                    if prev_merged:
+                        new = (merged, symbols[i])
+                        delta[new] = delta.get(new, 0) + freq
+                        pair_words.setdefault(new, set()).add(wid)
+                        prev_merged = False
+                    out.append(symbols[i])
+                    i += 1
+            words[wid] = (tuple(out), freq)
+        for pair, change in delta.items():
+            if change:
+                count = pair_counts.get(pair, 0) + change
+                if count > 0:
+                    pair_counts[pair] = count
+                    heapq.heappush(heap, (-count, pair))
+                else:
                     del pair_counts[pair]
-                members = pair_words.get(pair)
-                if members is not None:
-                    members.discard(wid)
-                    if not members:
-                        del pair_words[pair]
-            for pair, n in new_pairs.items():
-                pair_counts[pair] += n * freq
-                pair_words.setdefault(pair, set()).add(wid)
-            touched.update(old_pairs)
-            touched.update(new_pairs)
-        for pair in touched:
-            count = pair_counts.get(pair)
-            if count is not None:
-                heapq.heappush(heap, (-count, pair))
 
-    return BpeModel(merges=merges, vocab_size=vocab_size)
+    model = BpeModel(merges=merges, vocab_size=vocab_size)
+    model._cache.update((names[wid], symbols) for wid, (symbols, _) in enumerate(words)
+                        if wid not in diverged)
+    return model
 
 
 FeatureVector = dict[str, int]

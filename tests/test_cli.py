@@ -566,6 +566,18 @@ class TestEval:
         assert run(["eval", "judge", "--scores-a", a, "--scores-b", a]) == 1
         assert "a.txt:2" in capsys.readouterr().err
 
+    def test_judge_names_out_of_range_score_in_a(self, tmp_path, capsys):
+        a = write(tmp_path / "a.txt", "5\n7\n")
+        b = write(tmp_path / "b.txt", "5\n4\n")
+        assert run(["eval", "judge", "--scores-a", a, "--scores-b", b]) == 1
+        assert capsys.readouterr().err == f"lexmine: {a}:2: expected a score in 1..5, got 7\n"
+
+    def test_judge_names_out_of_range_score_in_b(self, tmp_path, capsys):
+        a = write(tmp_path / "a.txt", "5\n4\n3\n")
+        b = write(tmp_path / "b.txt", "# rater b\n5\n0\n3\n")
+        assert run(["eval", "judge", "--scores-a", a, "--scores-b", b]) == 1
+        assert capsys.readouterr().err == f"lexmine: {b}:3: expected a score in 1..5, got 0\n"
+
 
 class TestSent:
     def test_bpe_model_file(self, tmp_path, capsys):

@@ -55,7 +55,9 @@ def naive_merges(texts, vocab_size):
 
 def scan_merges(texts, vocab_size):
     """Reference trainer with incremental pair counts that picks each merge
-    by scanning every live pair: the trainer the heap pick replaced."""
+    by scanning every live pair, and updates them by recounting each merged
+    word's pairs in full. It is the oracle for both the heap pick and the
+    positional delta update that replaced that recount."""
     freq = Counter()
     for text in texts:
         freq.update(text.lower().split())
@@ -107,13 +109,19 @@ pool_word_st = st.one_of(
     st.builds(lambda char, n: char * n, st.sampled_from("aAbZ"), st.integers(2, 7)),
 )
 
+# words that spell one symbol string along two routes: "abc" is ("ab", "c")
+# or ("a", "bc"), and "<", "/", "w", ">" can merge into a symbol spelled EOW
+collision_word_st = st.lists(
+    st.sampled_from(["abc", "ab", "bc", "a", "c", "<", "/", "w", ">", "</w>"]),
+    min_size=1, max_size=4).map("".join)
+
 
 @st.composite
-def texts_and_budget(draw):
+def texts_and_budget(draw, word_strategy=pool_word_st):
     """Several texts drawn with repetition from a small word pool, so word
     frequencies vary, and a budget from one merge up to past the point
     where no pair is left."""
-    pool = draw(st.lists(pool_word_st, min_size=1, max_size=10))
+    pool = draw(st.lists(word_strategy, min_size=1, max_size=10))
     texts = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=10)
                           .map(" ".join), min_size=1, max_size=4))
     words = set(" ".join(texts).lower().split())
@@ -131,6 +139,14 @@ def zipf_corpus(seed, n_types=500, n_tokens=8000):
     weights = [1.0 / rank for rank in range(1, len(types) + 1)]
     tokens = rng.choices(rng.sample(types, len(types)), weights=weights, k=n_tokens)
     return [" ".join(tokens[i:i + 20]) for i in range(0, n_tokens, 20)]
+
+
+def assert_cache_matches_fresh_model(model, texts):
+    """Each training word encodes as it does under a model built from the
+    merges alone, whose encode cache starts empty."""
+    fresh = BpeModel(model.merges, model.vocab_size)
+    for word in sorted(set(" ".join(texts).lower().split())):
+        assert model.encode_word(word) == fresh.encode_word(word), word
 
 
 class TestTraining:
@@ -178,6 +194,41 @@ class TestTraining:
     def test_heap_pick_matches_scan_oracle(self, texts_budget):
         texts, vocab_size = texts_budget
         assert bpe_train(texts, vocab_size=vocab_size).merges == scan_merges(texts, vocab_size)
+
+    @given(texts_and_budget(collision_word_st))
+    @settings(max_examples=300)
+    def test_symbol_collisions_match_oracles(self, texts_budget):
+        texts, vocab_size = texts_budget
+        expected = naive_merges(texts, vocab_size)
+        assert scan_merges(texts, vocab_size) == expected
+        if len(set(expected)) < len(expected):
+            # a symbol spelled "</w>" can rebuild a pair that was merged before
+            with pytest.raises(InputError):
+                bpe_train(texts, vocab_size=vocab_size)
+            return
+        model = bpe_train(texts, vocab_size=vocab_size)
+        assert model.merges == expected
+        assert_cache_matches_fresh_model(model, texts)
+
+    def test_symbol_spelled_twice_keeps_its_left_pair(self):
+        # "/</w>" is spelled from five characters, then merged again from "/"
+        # and EOW right after it: the pair between the two must go
+        texts = ["/</w>/ /</w>/ ab/</w><"]
+        assert bpe_train(texts, vocab_size=13).merges == naive_merges(texts, 13)
+
+    def test_symbol_spelled_like_eow_is_not_cached(self):
+        # the last merge spells EOW after "bc" in "abc</w>abc", which makes a
+        # pair of the second merge: encode_word applies it, training had passed it
+        texts = ["</w>bc </w>bc abc abc</w>abc"]
+        model = bpe_train(texts, vocab_size=13)
+        assert model.encode_word("abc</w>abc") == ("a", "bc</w>", "a", "bc</w>")
+        assert_cache_matches_fresh_model(model, texts)
+
+    @given(texts_and_budget())
+    @settings(max_examples=200)
+    def test_seeded_cache_matches_fresh_model(self, texts_budget):
+        texts, vocab_size = texts_budget
+        assert_cache_matches_fresh_model(bpe_train(texts, vocab_size=vocab_size), texts)
 
     def test_heap_pick_matches_scan_oracle_on_zipf_corpus(self):
         # over a thousand merges leave many stale heap entries to skip
