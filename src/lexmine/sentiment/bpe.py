@@ -1,9 +1,12 @@
 """Byte-pair encoding trained from scratch.
 
-Words are whitespace-pretokenized and lowercased; each gets an end-of-word
-marker symbol. Training greedily merges the most frequent adjacent symbol
-pair (ties: lexicographically smallest pair) until the symbol budget is
-spent or no pair occurs at least twice.
+Words are whitespace-pretokenized and lowercased; each ends in the marker
+`_END`, EOW plus a tab, which no such word holds: no merge spells it, so no
+pair is merged twice. Training greedily merges the most frequent adjacent
+symbol pair (ties: lexicographically smallest pair; a tab sorts below every
+character a word can hold but U+0000-U+0008, so ties break as with EOW)
+until the symbol budget is spent or no pair occurs at least twice.
+`BpeModel.merges` holds `_END`; `encode_word` and `to_dict` spell it EOW.
 
 Pair counts are kept incrementally, as in subword-nmt's `learn_bpe.py`
 (Sennrich et al. 2016). A merge rewrites, in one left-to-right pass, only
@@ -18,11 +21,7 @@ is no longer the pair's current one.
 
 Training applies the merges to each corpus word in rank order, which is
 what `BpeModel.encode_word` does too, so the trained model's encode cache
-starts with every corpus word's final segmentation. The one exception is
-a word touched by a merge whose symbol was already spelled another way
-(say "</w>" from "<", "/", "w", ">"): the symbol can pair up into an
-earlier merge, which `encode_word` applies and training has passed, so
-such words are left for `encode_word`.
+starts with every corpus word's final segmentation.
 """
 from __future__ import annotations
 
@@ -33,6 +32,7 @@ from dataclasses import dataclass, field
 from ..errors import InputError
 
 EOW = "</w>"
+_END = EOW + "\t"
 
 
 @dataclass
@@ -52,7 +52,7 @@ class BpeModel:
         cached = self._cache.get(word)
         if cached is not None:
             return cached
-        symbols = list(word) + [EOW]
+        symbols = list(word) + [_END]
         while len(symbols) > 1:
             best_rank = None
             best_pair = None
@@ -63,7 +63,7 @@ class BpeModel:
             if best_pair is None:
                 break
             symbols = _merge_symbols(symbols, best_pair)
-        result = tuple(symbols)
+        result = _spell(symbols)
         self._cache[word] = result
         return result
 
@@ -75,7 +75,13 @@ class BpeModel:
 
     def to_dict(self) -> dict:
         return {"vocab_size": self.vocab_size,
-                "merges": [list(pair) for pair in self.merges]}
+                "merges": [list(_spell(pair)) for pair in self.merges]}
+
+
+def _spell(symbols) -> tuple[str, ...]:
+    # the marker can only end the last symbol of a word, or of a merge pair
+    return (*symbols[:-1], symbols[-1].replace(_END, EOW))
+
 
 def _merge_symbols(symbols: list[str], pair: tuple[str, str]) -> list[str]:
     merged = pair[0] + pair[1]
@@ -96,7 +102,7 @@ def bpe_train(corpus, vocab_size: int) -> BpeModel:
 
     `corpus` is a list of strings. The symbol budget counts the initial
     alphabet (characters plus the end-of-word marker) and one symbol per
-    merge.
+    merge. Ties break as if the marker were spelled EOW: `</w>`'s order.
     """
     word_freq = Counter()
     for text in corpus:
@@ -106,7 +112,7 @@ def bpe_train(corpus, vocab_size: int) -> BpeModel:
 
     names = sorted(word_freq)
     words: list[tuple[tuple[str, ...], int]] = [
-        (tuple(word) + (EOW,), word_freq[word]) for word in names
+        (tuple(word) + (_END,), word_freq[word]) for word in names
     ]
     alphabet = {sym for symbols, _ in words for sym in symbols}
     if vocab_size <= len(alphabet):
@@ -126,8 +132,6 @@ def bpe_train(corpus, vocab_size: int) -> BpeModel:
     heapq.heapify(heap)
     merges: list[tuple[str, str]] = []
     symbols_used = len(alphabet)
-    spelled = set(alphabet)
-    diverged: set[int] = set()
     while symbols_used < vocab_size and heap:
         neg_count, best_pair = heapq.heappop(heap)
         if -neg_count != pair_counts.get(best_pair, 0):
@@ -141,11 +145,6 @@ def bpe_train(corpus, vocab_size: int) -> BpeModel:
         # merging never recreates best_pair, so its word set retires with it;
         # the set may name words that no longer hold the pair, which merge nothing
         wids = pair_words.pop(best_pair)
-        if merged in spelled:
-            # a symbol spelled before by another route can pair up into an
-            # earlier merge, which encode_word applies and training has passed
-            diverged.update(wids)
-        spelled.add(merged)
         delta: dict[tuple[str, str], int] = {}
         for wid in wids:
             symbols, freq = words[wid]
@@ -191,8 +190,7 @@ def bpe_train(corpus, vocab_size: int) -> BpeModel:
                     del pair_counts[pair]
 
     model = BpeModel(merges=merges, vocab_size=vocab_size)
-    model._cache.update((names[wid], symbols) for wid, (symbols, _) in enumerate(words)
-                        if wid not in diverged)
+    model._cache.update((names[wid], _spell(symbols)) for wid, (symbols, _) in enumerate(words))
     return model
 
 

@@ -590,6 +590,17 @@ class TestSent:
         assert model["merges"][0] == ["a", "a"]
         capsys.readouterr()
 
+    def test_bpe_words_spelling_the_end_marker(self, tmp_path, capsys):
+        # merges of "<", "/", "w", ">" once rebuilt the end-of-word marker
+        # and chose a pair twice: "duplicate merge rule in BPE model", exit 1
+        src = write(tmp_path / "text.txt",
+                    "abc</w></</w> abc</w></</w> waw</ ab</ waw</ ab</\n")
+        out = tmp_path / "bpe.json"
+        assert run(["sent", "bpe", "--in", src, "--out", str(out),
+                    "--vocab-size", "21"]) == 0
+        assert capsys.readouterr().err == "learned 13 merges from 1 lines\n"
+        assert len(json.loads(out.read_text())["merges"]) == 13
+
     def test_cv_report(self, tmp_path, capsys):
         data = cv_data(tmp_path)
         out = tmp_path / "report.json"
