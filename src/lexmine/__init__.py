@@ -1,7 +1,8 @@
 """lexmine: mine a parallel sentence corpus from comparable document
 collections with a bilingual dictionary, and evaluate what you built.
 
-The package splits into small, independently usable layers:
+The package splits into small, independently usable modules. Import each
+name from its module; ``import lexmine`` gives only ``__version__``.
 
 - ``textproc``: tokenization, sentence segmentation, n-grams
 - ``dictionary``: bilingual dictionary load/filter/invert
@@ -12,71 +13,4 @@ The package splits into small, independently usable layers:
 - ``cli``: the ``lexmine`` command
 """
 
-from .version import __version__
-
-from .dictionary import (
-    BilingualDictionary,
-    dictionary_stats,
-    filter_by_lexicon,
-    invert,
-    load_dictionary,
-    load_lexicon,
-    parse_dictionary,
-    save_dictionary,
-)
-from .errors import (
-    ConfigError,
-    DivergenceError,
-    InputError,
-    LexmineError,
-    ParseError,
-)
-from .metrics import (
-    BleuReport,
-    CorpusStats,
-    JudgmentSummary,
-    RougeScore,
-    bleu,
-    corpus_stats,
-    judgment_summary,
-    pearson,
-    rouge1_f1,
-)
-from .mining import (
-    AlignedPair,
-    Document,
-    MiningConfig,
-    MiningStats,
-    align_documents,
-    align_sentences,
-    diversity_filter,
-    mine,
-    normalize_title,
-    read_corpus,
-    read_documents,
-    write_corpus,
-)
-from .textproc import (
-    is_punctuation,
-    ngrams,
-    normalize,
-    split_sentences,
-    tokenize,
-)
-from .w2w import TranslationResult, translate_tokens
-
-__all__ = [
-    "__version__",
-    "LexmineError", "InputError", "ParseError", "ConfigError", "DivergenceError",
-    "tokenize", "normalize", "split_sentences", "ngrams", "is_punctuation",
-    "BilingualDictionary",
-    "parse_dictionary", "load_dictionary", "save_dictionary", "load_lexicon",
-    "filter_by_lexicon", "invert", "dictionary_stats",
-    "TranslationResult", "translate_tokens",
-    "Document", "AlignedPair", "MiningConfig", "MiningStats",
-    "normalize_title", "align_documents", "align_sentences",
-    "diversity_filter", "mine", "read_documents", "read_corpus", "write_corpus",
-    "RougeScore", "BleuReport", "JudgmentSummary", "CorpusStats",
-    "rouge1_f1", "bleu", "pearson", "judgment_summary",
-    "corpus_stats",
-]
+__version__ = "0.1.0"

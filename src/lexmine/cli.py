@@ -18,6 +18,7 @@ import sys
 import time
 from dataclasses import asdict
 
+from . import __version__
 from .dictionary import (
     filter_by_lexicon,
     invert,
@@ -46,9 +47,9 @@ from .mining import (
     read_documents,
     write_corpus,
 )
-from .sentiment import MODES, CvConfig, bpe_train, cross_validate, load_labeled_tsv
+from .sentiment.bpe import bpe_train
+from .sentiment.cv import MODES, CvConfig, cross_validate, load_labeled_tsv
 from .textproc import normalize, tokenize
-from .version import __version__
 from .w2w import translate_tokens
 
 PROG = "lexmine"

@@ -17,8 +17,8 @@ import os
 import re
 import tempfile
 
+from . import __version__
 from .errors import InputError, ParseError
-from .version import __version__
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "lexmine"

@@ -149,13 +149,15 @@ def bpe_train(corpus, vocab_size: int) -> BpeModel:
         for wid in wids:
             symbols, freq = words[wid]
             out: list[str] = []
-            # a flag, not a string test: ("ab", "c") and ("a", "bc") both spell "abc"
-            prev_merged = False
+            # out[-1] == merged only right after a match, as no two merges spell one
+            # string: a merge joins every occurrence of its pair in one left-to-right
+            # pass and no symbol is split again, so copies of a string that no symbol
+            # crosses are segmented alike: never one symbol here and left, right there
             i, n = 0, len(symbols)
             while i < n:
                 if i + 1 < n and symbols[i] == left and symbols[i + 1] == right:
                     if out:
-                        if prev_merged:
+                        if out[-1] == merged:
                             # the old pair in between was the previous match's right neighbour
                             new = (merged, merged)
                         else:
@@ -169,14 +171,12 @@ def bpe_train(corpus, vocab_size: int) -> BpeModel:
                         old = (right, symbols[i + 2])
                         delta[old] = delta.get(old, 0) - freq
                     out.append(merged)
-                    prev_merged = True
                     i += 2
                 else:
-                    if prev_merged:
+                    if out and out[-1] == merged:
                         new = (merged, symbols[i])
                         delta[new] = delta.get(new, 0) + freq
                         pair_words.setdefault(new, set()).add(wid)
-                        prev_merged = False
                     out.append(symbols[i])
                     i += 1
             words[wid] = (tuple(out), freq)

@@ -56,7 +56,7 @@ def load_labeled_tsv(path) -> list[LabeledPair]:
     a monolingual corpus and fills both sides."""
     rows = []
     for line_no, line in enumerate(read_lines(path), start=1):
-        if not line.strip() or line.startswith("#"):
+        if not line.strip() or line.lstrip().startswith("#"):
             continue
         columns = line.split("\t")
         if len(columns) not in (2, 3):

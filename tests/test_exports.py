@@ -1,4 +1,4 @@
-"""Public names and the benchmark tracer's targets resolve in the package."""
+"""Every public name has a caller, and the benchmark tracer's targets resolve."""
 from __future__ import annotations
 
 import ast
@@ -6,10 +6,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-import pytest
-
 import lexmine
-import lexmine.sentiment
 
 TRACER = Path(__file__).resolve().parents[1] / "lexbench" / "tracer.py"
 
@@ -19,12 +16,6 @@ def load_tracer():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-@pytest.mark.parametrize("package", [lexmine, lexmine.sentiment])
-def test_every_exported_name_resolves(package):
-    missing = [name for name in package.__all__ if not hasattr(package, name)]
-    assert missing == []
 
 
 def test_tracer_targets_resolve():
@@ -42,21 +33,35 @@ def test_tracer_targets_resolve():
     assert missing == []
 
 
-def test_every_exported_name_has_a_caller():
+def public_names(tree) -> list[str]:
+    """Module-level defs, classes and assignment targets without a leading _."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [target.id for target in targets if isinstance(target, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def test_every_public_name_has_a_caller():
     # a name is called when some module loads it as a name or an attribute;
-    # the package __init__ files only re-export, and strings do not count
+    # an import alone does not count, and neither do strings
     source = Path(lexmine.__file__).resolve().parent
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in source.rglob("*.py")}
     loaded = set()
-    for path in source.rglob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for tree in trees.values():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
-    exported = [*lexmine.__all__, *lexmine.sentiment.__all__]
-    assert [name for name in exported if name not in loaded] == []
+    uncalled = [f"{path.relative_to(source)}:{name}"
+                for path, tree in trees.items() for name in public_names(tree)
+                if name not in loaded]
+    assert uncalled == []
 
 
 def test_every_defaulted_parameter_is_passed():
@@ -74,9 +79,7 @@ def test_every_defaulted_parameter_is_passed():
                 passed.update((name, i) for i in range(len(node.args)))
                 passed.update((name, kw.arg) for kw in node.keywords if kw.arg)
     unpassed = []
-    for path, tree in trees.items():
-        if path.name == "__init__.py":
-            continue
+    for tree in trees.values():
         for node in tree.body:
             if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
                 continue

@@ -226,6 +226,16 @@ class TestTraining:
         assert model.merges == expected
         assert_cache_matches_fresh_model(model, texts)
 
+    @given(st.one_of(st.tuples(corpus_st.map(lambda words: [" ".join(words)]),
+                               st.integers(6, 60)),
+                     texts_and_budget(), texts_and_budget(collision_word_st)))
+    @settings(max_examples=300)
+    def test_no_two_merges_spell_one_string(self, texts_budget):
+        # training tells the symbols it merged in this pass by their spelling
+        texts, vocab_size = texts_budget
+        spelled = [left + right for left, right in bpe_train(texts, vocab_size).merges]
+        assert len(set(spelled)) == len(spelled)
+
     def test_symbol_spelled_twice_keeps_its_left_pair(self):
         # "/</w>" is spelled from five characters, then "/" and the marker
         # right after it merge into a symbol that callers see spelled the same:

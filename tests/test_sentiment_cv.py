@@ -78,9 +78,10 @@ class TestLoadLabeledTsv:
             load_labeled_tsv(path)
 
     def test_comments_and_blanks_skipped(self, tmp_path):
+        # as in a dictionary, a comment is any line whose first non-blank character is "#"
         path = tmp_path / "rows.tsv"
-        path.write_text("# header\n\npositive\tok\n", encoding="utf-8")
-        assert len(load_labeled_tsv(path)) == 1
+        path.write_text("# header\n  # note\n\t# note\n\npositive\tok\n", encoding="utf-8")
+        assert load_labeled_tsv(path) == [LabeledPair("positive", "ok", "ok")]
 
 
 class TestStratifiedFolds:
