@@ -31,6 +31,7 @@ from .errors import ConfigError, InputError, LexmineError, ParseError
 from .manifest import (
     atomic_write_json,
     atomic_write_text,
+    content_lines,
     format_json,
     read_lines,
     timing_path_for,
@@ -77,10 +78,8 @@ def _conv_ints(raw: str) -> tuple[int, ...]:
 def _read_config_file(path) -> dict[str, str]:
     """key=value lines; '#' comments and blank lines are skipped."""
     settings: dict[str, str] = {}
-    for line_no, raw in enumerate(read_lines(path), start=1):
+    for line_no, raw in content_lines(read_lines(path)):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
         if "=" not in line:
             raise ParseError(path, line_no, f"expected key=value, got {line!r}")
         key, _, value = line.partition("=")
@@ -361,10 +360,8 @@ def _cmd_eval_stats(args) -> tuple[dict, dict]:
 
 def _read_scores(path) -> list[int]:
     scores = []
-    for line_no, raw in enumerate(read_lines(path), start=1):
+    for line_no, raw in content_lines(read_lines(path)):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
         try:
             score = int(line)
         except ValueError as exc:

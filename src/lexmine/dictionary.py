@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .manifest import atomic_write_text, read_lines
+from .manifest import atomic_write_text, content_lines, read_lines
 
 
 @dataclass
@@ -38,9 +38,7 @@ def parse_dictionary(lines, direction: tuple[str, str] = ("src", "tgt"),
                      path: str = "<memory>") -> BilingualDictionary:
     """Parse dictionary rows; duplicate sources merge with target dedup."""
     entries: dict[str, list[str]] = {}
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for line_no, line in content_lines(lines):
         columns = line.split("\t")
         if len(columns) != 2:
             raise ParseError(path, line_no,
@@ -67,11 +65,8 @@ def save_dictionary(dictionary: BilingualDictionary, path) -> None:
 
 def load_lexicon(path) -> frozenset[str]:
     words = set()
-    for line_no, raw in enumerate(read_lines(path), start=1):
-        word = raw.strip()
-        if not word or word.startswith("#"):
-            continue
-        words.add(_check_single_word(word, path, line_no))
+    for line_no, raw in content_lines(read_lines(path)):
+        words.add(_check_single_word(raw.strip(), path, line_no))
     return frozenset(words)
 
 

@@ -54,6 +54,16 @@ def read_lines(path):
             raise ParseError(path, _first_undecodable_line(path), "not valid UTF-8") from None
 
 
+def content_lines(lines):
+    """Yield `(line_no, line)` for each line that is neither blank nor a
+    comment, one whose first non-blank character is `#`. Every line counts
+    toward `line_no`, from 1, so a skipped line keeps later numbers true."""
+    for line_no, line in enumerate(lines, start=1):
+        stripped = line.lstrip()
+        if stripped and not stripped.startswith("#"):
+            yield line_no, line
+
+
 def _first_undecodable_line(path) -> int:
     # the strict decoder reads ahead in blocks, so its error cannot name the line
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:

@@ -21,16 +21,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import product
 
 from ..dictionary import BilingualDictionary
 from ..errors import ConfigError, InputError, ParseError
-from ..manifest import read_lines
+from ..manifest import content_lines, read_lines
 from ..textproc import tokenize
 from ..w2w import translate_tokens
 from .bpe import bpe_train, featurize
 from .models import (
     LABELS,
-    LrConfig,
     f1_score,
     lr_predict,
     lr_train_checkpoints,
@@ -55,9 +55,7 @@ def load_labeled_tsv(path) -> list[LabeledPair]:
     """Rows `label<TAB>text_src[<TAB>text_tgt]`; one column of text means
     a monolingual corpus and fills both sides."""
     rows = []
-    for line_no, line in enumerate(read_lines(path), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for line_no, line in content_lines(read_lines(path)):
         columns = line.split("\t")
         if len(columns) not in (2, 3):
             raise ParseError(path, line_no,
@@ -80,8 +78,8 @@ class FoldAssignment:
     test: list[int]
 
 
-def stratified_folds(data, k: int = 5, ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),
-                     seed: int = 0) -> list[FoldAssignment]:
+def stratified_folds(data, k: int, ratios: tuple[float, float, float],
+                     seed: int) -> list[FoldAssignment]:
     """Seeded per-class fold assignments with disjoint test buckets.
 
     `data` is a list of label strings. The k test buckets partition each
@@ -195,12 +193,10 @@ def _grid(train_data, config):
         for alpha in sorted(config.nb_alpha_grid):
             yield {"alpha": alpha}, nb_train(train_data, alpha=alpha), nb_predict
         return
-    cells = [(epochs, l2) for epochs in sorted(config.lr_epoch_grid)
-             for l2 in sorted(config.lr_l2_grid)]
-    models = lr_train_checkpoints(train_data, [
-        LrConfig(learning_rate=config.lr_learning_rate, epochs=epochs, l2_strength=l2)
-        for epochs, l2 in cells])
-    for (epochs, l2), model in zip(cells, models):
+    epoch_grid = sorted(config.lr_epoch_grid)
+    l2_grid = sorted(config.lr_l2_grid)
+    models = lr_train_checkpoints(train_data, config.lr_learning_rate, epoch_grid, l2_grid)
+    for (epochs, l2), model in zip(product(epoch_grid, l2_grid), models):
         yield {"epochs": epochs, "l2": l2}, model, lr_predict
 
 

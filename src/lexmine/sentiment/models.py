@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from itertools import product, starmap
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ..errors import DivergenceError, InputError
 from .bpe import FeatureVector
@@ -37,14 +38,13 @@ def _check_labels(labels) -> None:
 
 @dataclass
 class NbModel:
-    alpha: float
     class_log_prior: dict[str, float]
     feature_log_lik: dict[str, dict[str, float]]   # class -> feature -> log P
     unseen_log_lik: dict[str, float]               # class -> log P of in-vocab unseen
     vocabulary: set[str]
 
 
-def nb_train(data: list[tuple[FeatureVector, str]], alpha: float = 1.0) -> NbModel:
+def nb_train(data: list[tuple[FeatureVector, str]], alpha: float) -> NbModel:
     """Multinomial naive Bayes with additive smoothing."""
     if not 0 < alpha < math.inf:
         raise InputError(f"smoothing alpha must be finite and > 0, got {alpha}")
@@ -76,7 +76,7 @@ def nb_train(data: list[tuple[FeatureVector, str]], alpha: float = 1.0) -> NbMod
             for feature, count in class_feature_counts[label].items()
         }
         unseen[label] = math.log(alpha / denom)
-    return NbModel(alpha, log_prior, log_lik, unseen, vocabulary)
+    return NbModel(log_prior, log_lik, unseen, vocabulary)
 
 
 def nb_log_posteriors(model: NbModel, features: FeatureVector) -> dict[str, float]:
@@ -100,27 +100,10 @@ def nb_predict(model: NbModel, features: FeatureVector) -> str:
 
 # -- logistic regression -----------------------------------------------------
 
-@dataclass(frozen=True)
-class LrConfig:
-    learning_rate: float = 0.1
-    epochs: int = 100
-    l2_strength: float = 0.0
-
-    def __post_init__(self):
-        # written so that NaN fails each check: every comparison with NaN is False
-        if not self.learning_rate > 0:
-            raise InputError(f"learning rate must be > 0, got {self.learning_rate}")
-        if not self.epochs >= 1:
-            raise InputError(f"epochs must be >= 1, got {self.epochs}")
-        if not self.l2_strength >= 0:
-            raise InputError(f"l2_strength must be >= 0, got {self.l2_strength}")
-
-
 @dataclass
 class LrModel:
     weights: dict[str, float]
     bias: float
-    config: LrConfig
 
 
 def _logistic(scores: np.ndarray) -> np.ndarray:
@@ -206,35 +189,40 @@ def _lr_descend(problem: _LrProblem, learning_rate: float, l2: float,
     return snapshots
 
 
-def lr_train_checkpoints(data: list[tuple[FeatureVector, str]],
-                         configs: list[LrConfig]) -> Iterator[LrModel]:
-    """Train one model per config, in order, from one shared problem.
+def lr_train_checkpoints(data: list[tuple[FeatureVector, str]], learning_rate: float,
+                         epoch_grid: Sequence[int], l2_grid: Sequence[float]) -> Iterator[LrModel]:
+    """Train one model per `(epochs, l2)` cell, epochs first and each grid
+    in the order given, from one shared problem.
 
-    Configs that differ only in `epochs` share one descent, snapshotted at
-    each of their epoch counts: full-batch descent makes a shorter run a
-    prefix of a longer one, so every snapshot equals a separately trained
-    model. The descents run before this returns; each model's weight dict
-    is built only when the returned iterator reaches its config, so a
-    caller that keeps few models holds few dicts. An empty config list
-    yields no models.
+    Each l2 value gets one descent, snapshotted at every epoch count:
+    full-batch descent makes a shorter run a prefix of a longer one, so
+    every snapshot equals a separately trained model. The descents run
+    before this returns; each model's weight dict is built only when the
+    returned iterator reaches its cell, so a caller that keeps few models
+    holds few dicts. An empty grid yields no models.
     """
+    # written so that NaN fails each check: every comparison with NaN is False
+    if not learning_rate > 0:
+        raise InputError(f"learning rate must be > 0, got {learning_rate}")
+    for epochs in epoch_grid:
+        if not epochs >= 1:
+            raise InputError(f"epochs must be >= 1, got {epochs}")
+    for l2 in l2_grid:
+        if not l2 >= 0:
+            raise InputError(f"l2_strength must be >= 0, got {l2}")
     if not data:
         raise InputError("training data is empty")
     problem = _LrProblem(data)
-    epochs_by_run: dict[tuple[float, float], set[int]] = {}
-    for config in configs:
-        run = (config.learning_rate, config.l2_strength)
-        epochs_by_run.setdefault(run, set()).add(config.epochs)
-    snapshots = {run: _lr_descend(problem, *run, checkpoints)
-                 for run, checkpoints in epochs_by_run.items()}
+    checkpoints = set(epoch_grid)
+    snapshots = {l2: _lr_descend(problem, learning_rate, l2, checkpoints)
+                 for l2 in dict.fromkeys(l2_grid)} if checkpoints else {}
     feature_ids = problem.feature_ids
 
-    def model(config: LrConfig) -> LrModel:
-        w, bias = snapshots[config.learning_rate, config.l2_strength][config.epochs]
-        weights = {f: float(v) for f, v in zip(feature_ids, w) if v != 0.0}
-        return LrModel(weights, bias, config)
+    def model(epochs: int, l2: float) -> LrModel:
+        w, bias = snapshots[l2][epochs]
+        return LrModel({f: float(v) for f, v in zip(feature_ids, w) if v != 0.0}, bias)
 
-    return map(model, configs)
+    return starmap(model, product(epoch_grid, l2_grid))
 
 
 def lr_predict(model: LrModel, features: FeatureVector) -> str:

@@ -54,6 +54,14 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_dictionary(["a\tb\tc"])
 
+    @pytest.mark.parametrize("lines, message", [
+        (["ok\tfine", "\tb"], "<memory>:2: empty word"),
+        (["a\tb||c"], "<memory>:1: empty word")])
+    def test_empty_word_rejected(self, lines, message):
+        with pytest.raises(ParseError) as err:
+            parse_dictionary(lines)
+        assert str(err.value) == message
+
     def test_multi_word_rejected(self):
         with pytest.raises(ParseError):
             parse_dictionary(["a\tdua kata"])

@@ -7,7 +7,7 @@ import os
 import pytest
 
 from lexmine.errors import InputError, ParseError
-from lexmine.manifest import atomic_write_text, read_lines
+from lexmine.manifest import atomic_write_text, content_lines, read_lines
 
 
 class TestReadLines:
@@ -29,6 +29,11 @@ class TestReadLines:
         with pytest.raises(ParseError) as err:
             list(read_lines(path))
         assert str(err.value) == f"{path}:3000: not valid UTF-8"
+
+
+def test_content_lines_skip_blanks_and_comments_but_number_every_line():
+    lines = ["# head", "", "a", " \t", "  # note", "\t#note", "b # not a comment", " #", " c "]
+    assert list(content_lines(lines)) == [(3, "a"), (7, "b # not a comment"), (9, " c ")]
 
 
 class TestAtomicWrite:

@@ -265,6 +265,10 @@ class TestJudgmentSummary:
         with pytest.raises(InputError):
             judgment_summary([5, 4.5], [5, 5])
 
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(InputError, match=r"^length mismatch: 3 vs 2$"):
+            judgment_summary([1, 2, 3], [1, 2])
+
     def test_rejects_single_item(self):
         with pytest.raises(InputError):
             judgment_summary([5], [5])

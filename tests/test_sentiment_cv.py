@@ -89,7 +89,7 @@ class TestStratifiedFolds:
         return ["positive"] * n_pos + ["negative"] * n_neg
 
     def test_exact_sizes_on_divisible_corpus(self):
-        folds = stratified_folds(self.labels(30, 70), k=5, seed=7)
+        folds = stratified_folds(self.labels(30, 70), k=5, ratios=(0.7, 0.1, 0.2), seed=7)
         assert len(folds) == 5
         for fold in folds:
             assert len(fold.train) == 70
@@ -101,43 +101,44 @@ class TestStratifiedFolds:
             assert pos_dev == 3
 
     def test_splits_are_disjoint_and_complete(self):
-        folds = stratified_folds(self.labels(23, 41), k=5, seed=3)
+        folds = stratified_folds(self.labels(23, 41), k=5, ratios=(0.7, 0.1, 0.2), seed=3)
         for fold in folds:
             combined = fold.train + fold.dev + fold.test
             assert sorted(combined) == list(range(64))
 
     def test_test_folds_partition_dataset(self):
-        folds = stratified_folds(self.labels(23, 41), k=5, seed=3)
+        folds = stratified_folds(self.labels(23, 41), k=5, ratios=(0.7, 0.1, 0.2), seed=3)
         seen = [i for fold in folds for i in fold.test]
         assert sorted(seen) == list(range(64))
 
     def test_same_seed_reproduces(self):
-        a = stratified_folds(self.labels(23, 41), k=5, seed=11)
-        b = stratified_folds(self.labels(23, 41), k=5, seed=11)
+        a = stratified_folds(self.labels(23, 41), k=5, ratios=(0.7, 0.1, 0.2), seed=11)
+        b = stratified_folds(self.labels(23, 41), k=5, ratios=(0.7, 0.1, 0.2), seed=11)
         assert a == b
 
     def test_different_seed_differs(self):
-        a = stratified_folds(self.labels(30, 70), k=5, seed=0)
-        b = stratified_folds(self.labels(30, 70), k=5, seed=1)
+        a = stratified_folds(self.labels(30, 70), k=5, ratios=(0.7, 0.1, 0.2), seed=0)
+        b = stratified_folds(self.labels(30, 70), k=5, ratios=(0.7, 0.1, 0.2), seed=1)
         assert a != b
 
     def test_k_too_small(self):
         with pytest.raises(InputError):
-            stratified_folds(self.labels(5, 5), k=1)
+            stratified_folds(self.labels(5, 5), k=1, ratios=(0.7, 0.1, 0.2), seed=0)
 
     def test_ratios_must_sum_to_one(self):
         with pytest.raises(InputError):
-            stratified_folds(self.labels(10, 10), k=5, ratios=(0.5, 0.2, 0.2))
+            stratified_folds(self.labels(10, 10), k=5, ratios=(0.5, 0.2, 0.2), seed=0)
         with pytest.raises(InputError):
-            stratified_folds(self.labels(10, 10), k=5, ratios=(float("nan"), 0.1, 0.2))
+            stratified_folds(self.labels(10, 10), k=5, ratios=(float("nan"), 0.1, 0.2),
+                             seed=0)
 
     def test_test_ratio_tied_to_k(self):
         with pytest.raises(InputError):
-            stratified_folds(self.labels(10, 10), k=5, ratios=(0.5, 0.25, 0.25))
+            stratified_folds(self.labels(10, 10), k=5, ratios=(0.5, 0.25, 0.25), seed=0)
 
     def test_small_class_rejected(self):
         with pytest.raises(InputError):
-            stratified_folds(self.labels(4, 20), k=5)
+            stratified_folds(self.labels(4, 20), k=5, ratios=(0.7, 0.1, 0.2), seed=0)
 
     @given(st.integers(5, 40), st.integers(5, 40), st.integers(0, 99))
     @settings(max_examples=40)

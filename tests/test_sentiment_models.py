@@ -11,7 +11,6 @@ from lexmine.errors import DivergenceError, InputError
 from lexmine.sentiment.models import (
     NEGATIVE,
     POSITIVE,
-    LrConfig,
     _logistic,
     _LrProblem,
     f1_score,
@@ -111,8 +110,9 @@ LR_TOY = [
 ]
 
 
-def train(data, config):
-    return next(lr_train_checkpoints(data, [config]))
+def train(data, learning_rate, epochs, l2):
+    """The model of the single grid cell `(epochs, l2)`."""
+    return next(lr_train_checkpoints(data, learning_rate, [epochs], [l2]))
 
 
 def weight_array(problem, weights):
@@ -203,13 +203,12 @@ class TestLrTraining:
     def test_separates_toy_data(self):
         data = [({"up": 2}, POSITIVE), ({"up": 1, "down": 1}, POSITIVE),
                 ({"down": 2}, NEGATIVE), ({"down": 3}, NEGATIVE)]
-        model = train(data, LrConfig(learning_rate=0.5, epochs=200))
+        model = train(data, 0.5, 200, 0.0)
         assert [lr_predict(model, fv) for fv, _ in data] == [
             POSITIVE, POSITIVE, NEGATIVE, NEGATIVE]
 
     def test_loss_non_increasing(self):
-        models = lr_train_checkpoints(
-            LR_TOY, [LrConfig(learning_rate=0.05, epochs=e) for e in range(1, 21)])
+        models = lr_train_checkpoints(LR_TOY, 0.05, range(1, 21), [0.0])
         problem = _LrProblem(LR_TOY)
         losses = []
         for m in models:
@@ -220,67 +219,67 @@ class TestLrTraining:
             assert later <= earlier + 1e-12
 
     def test_checkpoints_equal_separate_runs(self):
-        snapshots = list(lr_train_checkpoints(
-            LR_TOY, [LrConfig(learning_rate=0.1, epochs=e) for e in (50, 20)]))
-        alone = train(LR_TOY, LrConfig(learning_rate=0.1, epochs=20))
+        snapshots = list(lr_train_checkpoints(LR_TOY, 0.1, [50, 20], [0.0]))
+        alone = train(LR_TOY, 0.1, 20, 0.0)
         assert snapshots[1] == alone
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.builds(LrConfig,
-                              learning_rate=st.sampled_from([0.05, 0.1, 0.5]),
-                              epochs=st.integers(1, 8),
-                              l2_strength=st.sampled_from([0.0, 0.01, 0.3])),
-                    max_size=8))
-    def test_shared_descents_equal_separate_runs(self, configs):
-        assert list(lr_train_checkpoints(LR_TOY, configs)) == [
-            train(LR_TOY, config) for config in configs]
+    @given(learning_rate=st.sampled_from([0.05, 0.1, 0.5]),
+           epoch_grid=st.lists(st.integers(1, 8), max_size=6),
+           l2_grid=st.lists(st.sampled_from([0.0, 0.01, 0.3]), max_size=4))
+    def test_grid_cells_equal_single_cell_runs(self, learning_rate, epoch_grid, l2_grid):
+        # the grids come unsorted and with repeats; cells are epochs first
+        assert list(lr_train_checkpoints(LR_TOY, learning_rate, epoch_grid, l2_grid)) == [
+            train(LR_TOY, learning_rate, epochs, l2) for epochs in epoch_grid for l2 in l2_grid]
 
     def test_l2_shrinks_weights(self):
-        plain = train(LR_TOY, LrConfig(learning_rate=0.1, epochs=100))
-        ridged = train(LR_TOY, LrConfig(learning_rate=0.1, epochs=100,
-                                        l2_strength=0.5))
+        plain, ridged = lr_train_checkpoints(LR_TOY, 0.1, [100], [0.0, 0.5])
         norm = lambda m: sum(v * v for v in m.weights.values())
         assert norm(ridged) < norm(plain)
 
     def test_divergence_is_reported(self):
         # the absurd step size overflows the penalty term, which is exactly
-        # the non-finite loss the trainer must turn into an error
+        # the non-finite loss the trainer must turn into an error; the
+        # descents run before the call returns, so the call itself raises
         data = [({"f": 1}, POSITIVE), ({"g": 1}, NEGATIVE)]
-        config = LrConfig(learning_rate=1e160, epochs=5, l2_strength=1.0)
         with pytest.raises(DivergenceError) as err:
-            train(data, config)
+            lr_train_checkpoints(data, 1e160, [5], [1.0])
         assert "epoch" in str(err.value)
 
     def test_score_tie_predicts_negative(self):
-        model = train(LR_TOY, LrConfig(epochs=1))
+        model = train(LR_TOY, 0.1, 1, 0.0)
         assert lr_predict(model, {}) in (POSITIVE, NEGATIVE)
-        zeroed = type(model)(weights={}, bias=0.0, config=model.config)
+        zeroed = type(model)(weights={}, bias=0.0)
         assert lr_predict(zeroed, {"f1": 5}) == NEGATIVE
 
     def test_config_validation(self):
-        with pytest.raises(InputError):
-            LrConfig(learning_rate=0.0)
-        with pytest.raises(InputError):
-            LrConfig(epochs=0)
-        with pytest.raises(InputError):
-            LrConfig(l2_strength=-0.1)
+        with pytest.raises(InputError, match=r"^learning rate must be > 0, got 0\.0$"):
+            lr_train_checkpoints(LR_TOY, 0.0, [100], [0.0])
+        with pytest.raises(InputError, match=r"^epochs must be >= 1, got 0$"):
+            lr_train_checkpoints(LR_TOY, 0.1, [100, 0], [0.0])
+        with pytest.raises(InputError, match=r"^l2_strength must be >= 0, got -0\.1$"):
+            lr_train_checkpoints(LR_TOY, 0.1, [100], [0.0, -0.1])
 
     @pytest.mark.parametrize("field", ["learning_rate", "epochs", "l2_strength"])
     def test_config_validation_rejects_nan(self, field):
-        with pytest.raises(InputError):
-            LrConfig(**{field: math.nan})
+        cell = {"learning_rate": 0.1, "epochs": 100, "l2_strength": 0.0, field: math.nan}
+        with pytest.raises(InputError, match="got nan"):
+            lr_train_checkpoints(LR_TOY, cell["learning_rate"], [cell["epochs"]],
+                                 [cell["l2_strength"]])
 
     @pytest.mark.parametrize("grid", [[0, 50], [-1], [0.5]])
     def test_checkpoints_below_one_epoch_rejected(self, grid):
         with pytest.raises(InputError, match="epoch"):
-            lr_train_checkpoints(LR_TOY, [LrConfig(epochs=e) for e in grid])
+            lr_train_checkpoints(LR_TOY, 0.1, grid, [0.0])
 
-    def test_no_configs_no_models(self):
-        assert list(lr_train_checkpoints(LR_TOY, [])) == []
+    @pytest.mark.parametrize("epoch_grid, l2_grid", [([], []), ([], [0.0]), ([100], [])],
+                             ids=["both", "epochs", "l2"])
+    def test_empty_grid_no_models(self, epoch_grid, l2_grid):
+        assert list(lr_train_checkpoints(LR_TOY, 0.1, epoch_grid, l2_grid)) == []
 
     def test_empty_data_rejected(self):
         with pytest.raises(InputError):
-            train([], LrConfig())
+            train([], 0.1, 100, 0.0)
 
 
 class TestF1:
