@@ -297,36 +297,41 @@ def _cmd_mine_filter(args) -> tuple[dict, dict]:
 
 # -- eval ----------------------------------------------------------------------
 
-def _load_parallel_tokens(args, pretokenized: bool, lowercase: bool):
-    hyp_lines = list(read_lines(args.hyp))
-    ref_lines = list(read_lines(args.ref))
-    if len(hyp_lines) != len(ref_lines):
-        raise InputError(f"{args.hyp} has {len(hyp_lines)} lines but "
-                         f"{args.ref} has {len(ref_lines)}")
-    if not hyp_lines:
+def _parallel_tokens(args, pretokenized: bool, lowercase: bool):
+    """The line count shared by --hyp and --ref, and one lazy token-list
+    iterator per file, so a line's tokens live only while it is scored.
+
+    A first pass counts each file's lines, so an undecodable file, a line
+    count mismatch and an empty file fail before anything is scored.
+    """
+    hyp_count = sum(1 for _ in read_lines(args.hyp))
+    ref_count = sum(1 for _ in read_lines(args.ref))
+    if hyp_count != ref_count:
+        raise InputError(f"{args.hyp} has {hyp_count} lines but {args.ref} has {ref_count}")
+    if not hyp_count:
         raise InputError(f"{args.hyp} is empty")
 
     def split(line):
         tokens = line.split() if pretokenized else tokenize(line)
         return normalize(tokens) if lowercase else tokens
 
-    return [split(line) for line in hyp_lines], [split(line) for line in ref_lines]
+    return hyp_count, map(split, read_lines(args.hyp)), map(split, read_lines(args.ref))
 
 
 def _cmd_eval_bleu(args) -> tuple[dict, dict]:
     cfg = _resolve(args, [("lowercase", False, _conv_bool),
                           ("no_tokenize", False, _conv_bool)])
-    hyps, refs = _load_parallel_tokens(args, cfg["no_tokenize"], cfg["lowercase"])
+    segments, hyps, refs = _parallel_tokens(args, cfg["no_tokenize"], cfg["lowercase"])
     report = bleu(hyps, refs)
     if args.out:
         atomic_write_json(args.out, {**report.to_dict(), "lowercased": cfg["lowercase"]})
     print(f"bleu {report.bleu:.2f}")
-    return cfg, {"segments": len(hyps)}
+    return cfg, {"segments": segments}
 
 
 def _cmd_eval_rouge(args) -> tuple[dict, dict]:
     cfg = _resolve(args, [("lowercase", False, _conv_bool)])
-    hyps, refs = _load_parallel_tokens(args, pretokenized=False, lowercase=cfg["lowercase"])
+    _, hyps, refs = _parallel_tokens(args, pretokenized=False, lowercase=cfg["lowercase"])
     scores = [rouge1_f1(h, r) for h, r in zip(hyps, refs)]
     payload = {
         "lines": len(scores),

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import chain, zip_longest
 
 from .errors import InputError
 from .textproc import Token, is_punctuation, ngrams, tokenize
@@ -60,11 +62,41 @@ class BleuReport:
         }
 
 
-def bleu(hypotheses: list[list[Token]], references: list[list[Token]]) -> BleuReport:
+def _pooled_counts(hypotheses, references):
+    """Clipped n-gram matches and hypothesis n-gram totals per order, pooled
+    over the segment pairs, with the pooled hypothesis and reference lengths.
+    Each side of a segment is counted in one pass over all its orders."""
+    correct = [0] * BLEU_MAX_ORDER
+    total = [0] * BLEU_MAX_ORDER
+    hyp_len = ref_len = 0
+    hyp_count = ref_count = 0
+    for hyp, ref in zip_longest(hypotheses, references):
+        hyp_count += hyp is not None
+        ref_count += ref is not None
+        if hyp is None or ref is None:
+            continue  # counting what is left of the longer side
+        hyp_len += len(hyp)
+        ref_len += len(ref)
+        orders = range(1, min(len(hyp), BLEU_MAX_ORDER) + 1)
+        ref_counts = Counter(chain.from_iterable(ngrams(ref, n) for n in orders))
+        for gram, count in Counter(chain.from_iterable(ngrams(hyp, n) for n in orders)).items():
+            correct[len(gram) - 1] += min(count, ref_counts.get(gram, 0))
+        for n in orders:
+            total[n - 1] += len(hyp) - n + 1
+    if hyp_count != ref_count:
+        raise InputError(f"hypothesis/reference counts differ: {hyp_count} vs {ref_count}")
+    if not hyp_count:
+        raise InputError("at least one hypothesis is required")
+    return correct, total, hyp_len, ref_len
+
+
+def bleu(hypotheses: Iterable[list[Token]], references: Iterable[list[Token]]) -> BleuReport:
     """Corpus-level BLEU over 1..4-grams with a single reference per segment.
 
-    Tokens are compared as given: case-fold them first (``normalize``) for
-    case-insensitive scoring.
+    Takes any two iterables of token lists and consumes them one segment at
+    a time, in lockstep, so one-shot generators work and no segment need
+    outlive its turn. Tokens are compared as given: case-fold them first
+    (``normalize``) for case-insensitive scoring.
 
     Clipped n-gram matches and totals are pooled over the whole corpus.
     Zero *matched* counts use exponential smoothing: the k-th zero order
@@ -72,24 +104,7 @@ def bleu(hypotheses: list[list[Token]], references: list[list[Token]]) -> BleuRe
     at all (every segment shorter than n) are left out of the geometric
     mean so that a corpus compared against itself always scores 100.
     """
-    if len(hypotheses) != len(references):
-        raise InputError(
-            f"hypothesis/reference counts differ: {len(hypotheses)} vs {len(references)}")
-    if not hypotheses:
-        raise InputError("at least one hypothesis is required")
-
-    correct = [0] * BLEU_MAX_ORDER
-    total = [0] * BLEU_MAX_ORDER
-    hyp_len = 0
-    ref_len = 0
-    for hyp, ref in zip(hypotheses, references):
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        for n in range(1, min(len(hyp), BLEU_MAX_ORDER) + 1):
-            ref_counts = Counter(ngrams(ref, n))
-            correct[n - 1] += sum(min(c, ref_counts[g])
-                                  for g, c in Counter(ngrams(hyp, n)).items())
-            total[n - 1] += len(hyp) - n + 1
+    correct, total, hyp_len, ref_len = _pooled_counts(hypotheses, references)
 
     if hyp_len == 0:
         return BleuReport(0.0, (0.0,) * BLEU_MAX_ORDER, 0.0, 0, ref_len, zero_length=True)

@@ -12,6 +12,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -465,6 +466,7 @@ class TestEval:
         folds = []
 
         def recording_bleu(hypotheses, references):
+            hypotheses, references = list(hypotheses), list(references)
             calls.append((hypotheses, references))
             return bleu(hypotheses, references)
 
@@ -497,10 +499,45 @@ class TestEval:
         assert capsys.readouterr().out.strip() != "bleu 100.00"
 
     def test_bleu_line_count_mismatch(self, tmp_path, capsys):
-        hyp = write(tmp_path / "h.txt", "a\nb\n")
-        ref = write(tmp_path / "r.txt", "a\n")
+        long = write(tmp_path / "long.txt", "a\nb\n")
+        short = write(tmp_path / "short.txt", "a\n")
+        for hyp, hyp_lines, ref, ref_lines in ((long, 2, short, 1), (short, 1, long, 2)):
+            assert run(["eval", "bleu", "--hyp", hyp, "--ref", ref]) == 1
+            assert capsys.readouterr().err == (
+                f"lexmine: {hyp} has {hyp_lines} lines but {ref} has {ref_lines}\n")
+
+    def test_bleu_empty_hyp(self, tmp_path, capsys):
+        hyp = write(tmp_path / "h.txt", "")
+        ref = write(tmp_path / "r.txt", "")
         assert run(["eval", "bleu", "--hyp", hyp, "--ref", ref]) == 1
-        assert "lines" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"lexmine: {hyp} is empty\n"
+
+    def test_bleu_bad_utf8_in_ref_only(self, tmp_path, capsys):
+        # the files also differ in length: the encoding check comes first
+        hyp = write(tmp_path / "h.txt", "a\nb\nc\n")
+        ref = tmp_path / "r.txt"
+        ref.write_bytes(b"a\n\xff\n")
+        assert run(["eval", "bleu", "--hyp", hyp, "--ref", str(ref)]) == 1
+        assert capsys.readouterr().err == f"lexmine: {ref}:2: not valid UTF-8\n"
+
+    def test_bleu_memory_does_not_grow_with_the_test_set(self, tmp_path, capsys):
+        # eval bleu holds one line per file at a time, so a test set ten
+        # times longer leaves its traced peak about where it was
+        def traced_peak(lines):
+            hyp = write(tmp_path / f"h{lines}.txt",
+                        "".join(f"Satu {i} dua .\n" for i in range(lines)))
+            ref = write(tmp_path / f"r{lines}.txt",
+                        "".join(f"satu {i} dua .\n" for i in range(lines)))
+            tracemalloc.start()
+            try:
+                assert run(["eval", "bleu", "--hyp", hyp, "--ref", ref, "--lowercase"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = traced_peak(400), traced_peak(4_000)
+        capsys.readouterr()
+        assert large <= 1.5 * small, (small, large)
 
     def test_rouge_mean(self, tmp_path, capsys):
         hyp = write(tmp_path / "h.txt", "a b c\n")

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from lexmine.errors import InputError
 from lexmine.metrics import (
+    _pooled_counts,
     bleu,
     corpus_stats,
     judgment_summary,
@@ -20,6 +21,9 @@ from lexmine.textproc import normalize
 token_st = st.sampled_from(list("abcdefg"))
 segment_st = st.lists(token_st, min_size=1, max_size=10)
 corpus_st = st.lists(st.tuples(segment_st, segment_st), min_size=1, max_size=8)
+# short segments over three tokens: n-grams of every order repeat and clip
+short_segment_st = st.lists(st.sampled_from("abc"), max_size=5)
+short_corpus_st = st.lists(st.tuples(short_segment_st, short_segment_st), min_size=1, max_size=8)
 
 
 class TestRouge1:
@@ -87,24 +91,37 @@ def oracle_counts(pairs):
     return correct, total
 
 
-def oracle_bleu(pairs):
-    """Reference corpus BLEU built from explicit loops (no Counter)."""
+def oracle_precisions(pairs):
+    """Per-order precisions from the loop counts, zero-matched orders smoothed."""
     correct, total = oracle_counts(pairs)
-    hyp_len = sum(len(h) for h, _ in pairs)
-    ref_len = sum(len(r) for _, r in pairs)
-    log_sum, orders, smooth = 0.0, 0, 1.0
+    precisions, smooth = [0.0] * 4, 1.0
     for n in range(4):
         if total[n] == 0:
             continue
-        orders += 1
         if correct[n] == 0:
             smooth *= 2.0
-            p = 1.0 / (smooth * total[n])
+            precisions[n] = 1.0 / (smooth * total[n])
         else:
-            p = correct[n] / total[n]
-        log_sum += math.log(p)
+            precisions[n] = correct[n] / total[n]
+    return precisions
+
+
+def oracle_bleu(pairs):
+    """Reference corpus BLEU built from explicit loops (no Counter)."""
+    hyp_len = sum(len(h) for h, _ in pairs)
+    ref_len = sum(len(r) for _, r in pairs)
+    log_sum, orders = 0.0, 0
+    for p in oracle_precisions(pairs):
+        if p:
+            orders += 1
+            log_sum += math.log(p)
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     return 100.0 * bp * math.exp(log_sum / orders)
+
+
+def sides(pairs):
+    """The hypothesis and reference sides of `pairs` as one-shot generators."""
+    return (h for h, _ in pairs), (r for _, r in pairs)
 
 
 class TestBleu:
@@ -183,6 +200,45 @@ class TestBleu:
                 assert report.ngram_precisions[n] == 0.0
         assert report.hyp_length == sum(len(h) for h, _ in pairs)
         assert report.ref_length == sum(len(r) for _, r in pairs)
+
+    @given(short_corpus_st)
+    def test_one_pass_counts_equal_per_order_oracle(self, pairs):
+        correct, total = oracle_counts(pairs)
+        lengths = (sum(len(h) for h, _ in pairs), sum(len(r) for _, r in pairs))
+        assert _pooled_counts(*sides(pairs)) == (correct, total, *lengths)
+        report = bleu(*sides(pairs))
+        assert list(report.ngram_precisions) == oracle_precisions(pairs)
+        assert (report.hyp_length, report.ref_length) == lengths
+
+    def test_pulls_both_sides_in_lockstep(self):
+        pulls = []
+
+        def recorded(name, segments):
+            for segment in segments:
+                pulls.append(name)
+                yield segment
+
+        segments = [["a", "b"], ["c"], ["d", "e", "f"]]
+        bleu(recorded("hyp", segments), recorded("ref", segments))
+        assert sorted(pulls) == ["hyp"] * 3 + ["ref"] * 3
+        lead = 0
+        for name in pulls:
+            lead += 1 if name == "hyp" else -1
+            assert abs(lead) <= 1
+
+    @pytest.mark.parametrize("hyp_count, ref_count", [(3, 2), (2, 3)])
+    def test_length_mismatch_of_generators_gives_full_counts(self, hyp_count, ref_count):
+        hyps = (["a"] for _ in range(hyp_count))
+        refs = (["a"] for _ in range(ref_count))
+        with pytest.raises(InputError) as exc:
+            bleu(hyps, refs)
+        assert str(exc.value) == (
+            f"hypothesis/reference counts differ: {hyp_count} vs {ref_count}")
+
+    def test_empty_generators_rejected(self):
+        with pytest.raises(InputError) as exc:
+            bleu(iter([]), iter([]))
+        assert str(exc.value) == "at least one hypothesis is required"
 
     def test_segment_counts_short_segment(self):
         # a 2-token segment has no 3- or 4-grams: those orders stay empty
