@@ -37,7 +37,7 @@ from .manifest import (
     timing_path_for,
     write_manifest,
 )
-from .metrics import bleu, corpus_stats, judgment_summary, rouge1_f1
+from .metrics import bleu, corpus_stats, judgment_summary, rouge1_f1, sum_in_order
 from .mining import (
     MiningConfig,
     align_documents,
@@ -91,14 +91,14 @@ def _resolve(args, spec) -> dict:
     """Apply the flags > config file > defaults precedence.
 
     `spec` rows are (name, default, converter); converters run on raw
-    strings only, so typed argparse values pass through unchanged.
+    strings only, so typed argparse values pass through unchanged. The
+    config file's settings are `args.file_settings`, which `run` reads.
     """
-    file_cfg = _read_config_file(args.config) if args.config else {}
     resolved = {}
     for name, default, conv in spec:
         value = getattr(args, name, None)
         if value is None:
-            value = file_cfg.get(name, default)
+            value = args.file_settings.get(name, default)
         if isinstance(value, str) and conv is not str:
             try:
                 value = conv(value)
@@ -335,9 +335,9 @@ def _cmd_eval_rouge(args) -> tuple[dict, dict]:
     scores = [rouge1_f1(h, r) for h, r in zip(hyps, refs)]
     payload = {
         "lines": len(scores),
-        "mean_precision": sum(s.precision for s in scores) / len(scores),
-        "mean_recall": sum(s.recall for s in scores) / len(scores),
-        "mean_f1": sum(s.f1 for s in scores) / len(scores),
+        "mean_precision": sum_in_order(s.precision for s in scores) / len(scores),
+        "mean_recall": sum_in_order(s.recall for s in scores) / len(scores),
+        "mean_f1": sum_in_order(s.f1 for s in scores) / len(scores),
         "lowercased": cfg["lowercase"],
     }
     if args.out:
@@ -594,6 +594,8 @@ def run(argv) -> int:
         args.summary = f"{args.out}.oov.json"
     try:
         _check_outputs(args)
+        # every command parses its --config, so a malformed file fails alike
+        args.file_settings = _read_config_file(args.config) if args.config else {}
         config, counts = args.handler(args)
         write_manifest(
             args.manifest, slug.replace("-", " "), config,

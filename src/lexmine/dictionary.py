@@ -26,12 +26,14 @@ class BilingualDictionary:
         return len(self.entries)
 
 
-def _check_single_word(word: str, path, line_no: int) -> str:
-    if not word:
-        raise ParseError(path, line_no, "empty word")
-    if any(ch.isspace() for ch in word):
-        raise ParseError(path, line_no, f"multi-word entry not allowed: {word!r}")
-    return word.lower()
+def _check_single_word(field: str, path, line_no: int) -> str:
+    """The one word of `field`, lowercased, without surrounding whitespace."""
+    words = field.split()
+    if len(words) != 1:
+        if not words:
+            raise ParseError(path, line_no, "empty word")
+        raise ParseError(path, line_no, f"multi-word entry not allowed: {field.strip()!r}")
+    return words[0].lower()
 
 
 def parse_dictionary(lines, direction: tuple[str, str] = ("src", "tgt"),
@@ -43,8 +45,8 @@ def parse_dictionary(lines, direction: tuple[str, str] = ("src", "tgt"),
         if len(columns) != 2:
             raise ParseError(path, line_no,
                              f"expected 2 tab-separated columns, got {len(columns)}")
-        source = _check_single_word(columns[0].strip(), path, line_no)
-        targets = [_check_single_word(t.strip(), path, line_no)
+        source = _check_single_word(columns[0], path, line_no)
+        targets = [_check_single_word(t, path, line_no)
                    for t in columns[1].split("|")]
         known = entries.setdefault(source, [])
         for t in targets:
@@ -66,7 +68,7 @@ def save_dictionary(dictionary: BilingualDictionary, path) -> None:
 def load_lexicon(path) -> frozenset[str]:
     words = set()
     for line_no, raw in content_lines(read_lines(path)):
-        words.add(_check_single_word(raw.strip(), path, line_no))
+        words.add(_check_single_word(raw, path, line_no))
     return frozenset(words)
 
 

@@ -8,15 +8,27 @@ metric packages; everything here is recomputable by hand.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain, zip_longest
 
 from .errors import InputError
 from .textproc import Token, is_punctuation, ngrams, tokenize
 
 BLEU_MAX_ORDER = 4
+
+
+def sum_in_order(values: Iterable[float]) -> float:
+    """Add floats left to right, rounding after each addition.
+
+    Builtin sum() does this up to Python 3.11; from 3.12 it compensates the
+    rounding and may differ in the last bit, so a report would not keep its
+    bytes across the Python versions lexmine supports.
+    """
+    return reduce(operator.add, values, 0.0)
 
 
 @dataclass(frozen=True)
@@ -135,11 +147,11 @@ def pearson(x: list[float], y: list[float]) -> float | None:
         raise InputError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 2:
         raise InputError("pearson needs at least 2 observations")
-    mx = sum(x) / len(x)
-    my = sum(y) / len(y)
-    cov = sum((a - mx) * (b - my) for a, b in zip(x, y))
-    var_x = sum((a - mx) ** 2 for a in x)
-    var_y = sum((b - my) ** 2 for b in y)
+    mx = sum_in_order(x) / len(x)
+    my = sum_in_order(y) / len(y)
+    cov = sum_in_order((a - mx) * (b - my) for a, b in zip(x, y))
+    var_x = sum_in_order((a - mx) ** 2 for a in x)
+    var_y = sum_in_order((b - my) ** 2 for b in y)
     if var_x == 0.0 or var_y == 0.0:
         return None
     return cov / math.sqrt(var_x * var_y)

@@ -124,7 +124,8 @@ def align_sentences(pair: tuple[Document, Document], dictionary: BilingualDictio
         overlap: dict[int, int] = {}
         for word, count in Counter(translated).items():
             for j, tgt_count in postings.get(word, ()):
-                overlap[j] = overlap.get(j, 0) + min(count, tgt_count)
+                # a conditional, not min(): this loop is the hottest in mining
+                overlap[j] = overlap.get(j, 0) + (count if count < tgt_count else tgt_count)
         # every target without overlap scores 0.0, so target 0 wins unless
         # one scores higher; strict > in target order keeps the earliest tie
         best_score, best_j = 0.0, 0

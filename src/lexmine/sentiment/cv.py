@@ -26,6 +26,7 @@ from itertools import product
 from ..dictionary import BilingualDictionary
 from ..errors import ConfigError, InputError, ParseError
 from ..manifest import content_lines, read_lines
+from ..metrics import sum_in_order
 from ..textproc import tokenize
 from ..w2w import translate_tokens
 from .bpe import bpe_train, featurize
@@ -259,6 +260,6 @@ def cross_validate(data: list[LabeledPair], config: CvConfig, mode: str,
             grid_trace=trace,
         ))
 
-    mean_pos = sum(f.f1_positive for f in fold_results) / len(fold_results)
-    mean_macro = sum(f.f1_macro for f in fold_results) / len(fold_results)
+    mean_pos = sum_in_order(f.f1_positive for f in fold_results) / len(fold_results)
+    mean_macro = sum_in_order(f.f1_macro for f in fold_results) / len(fold_results)
     return CvReport(mode, config, fold_results, mean_pos, mean_macro)

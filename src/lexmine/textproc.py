@@ -12,13 +12,15 @@ from typing import Iterator
 
 from .errors import InputError
 
+# a run of terminators ("?!", "...") is one boundary: group 1 is the run,
+# then the whitespace after it (re's \s is str.isspace on every code point,
+# as tests check)
+_TERMINATOR_RUN = re.compile(r"([.!?]+)\s*")
+
 # A "word token" is anything that is not made purely of punctuation or
 # symbol characters (Unicode categories P* and S*). No character for which
 # str.isalnum() holds is in P* or S*, so an alphanumeric string holds no
 # punctuation; tests check this over every code point.
-_TERMINATORS = {".", "!", "?"}
-_WS_RE = re.compile(r"\s+")
-
 Token = str
 NGram = tuple[str, ...]
 
@@ -64,8 +66,14 @@ def normalize(tokens: list[Token]) -> list[Token]:
     return [t.lower() for t in tokens]
 
 
-def _is_abbreviation(word: str) -> bool:
-    # Short capitalized words ("A.", "Dr.") read as initials/abbreviations.
+def _abbreviation_before(text: str, i: int) -> bool:
+    """True if the alphanumeric word just before text[i] is short and
+    capitalized ("A.", "Dr."), so it reads as an initial or abbreviation.
+    The walk back stops after three characters: a longer word never is one."""
+    k = i
+    while k > 0 and i - k < 3 and text[k - 1].isalnum():
+        k -= 1
+    word = text[k:i]
     return len(word) <= 2 and word.isalpha() and word[0].isupper()
 
 
@@ -78,44 +86,18 @@ def split_sentences(text: str) -> list[str]:
     Whitespace (including newlines) inside each sentence is collapsed to
     single spaces; no non-whitespace character is dropped.
     """
-    sentences: list[str] = []
-    start = 0
+    ends = []
     n = len(text)
-
-    def flush(end: int) -> None:
-        nonlocal start
-        piece = _WS_RE.sub(" ", text[start:end]).strip()
-        if piece:
-            sentences.append(piece)
-        start = end
-
-    i = 0
-    while i < n:
-        ch = text[i]
-        if ch not in _TERMINATORS:
-            i += 1
+    for run in _TERMINATOR_RUN.finditer(text):
+        i, j = run.span(1)
+        after = run.end()
+        if j == i + 1 and text[i] == "." and _abbreviation_before(text, i):
             continue
-        # consume a run of terminators ("?!", "...") as one boundary
-        j = i + 1
-        while j < n and text[j] in _TERMINATORS:
-            j += 1
-        after = j
-        while after < n and text[after].isspace():
-            after += 1
-        at_end = after >= n
-        starts_new = not at_end and after > j and (text[after].isupper() or text[after].isdigit())
-        if ch == "." and j == i + 1:
-            k = i
-            while k > 0 and text[k - 1].isalnum():
-                k -= 1
-            if _is_abbreviation(text[k:i]):
-                i = j
-                continue
-        if at_end or starts_new:
-            flush(j)
-        i = j
-    flush(n)
-    return sentences
+        if after == n or (after > j and (text[after].isupper() or text[after].isdigit())):
+            ends.append(j)
+    ends.append(n)
+    pieces = (" ".join(text[start:end].split()) for start, end in zip([0, *ends], ends))
+    return [piece for piece in pieces if piece]
 
 
 def ngrams(tokens: list[Token], n: int) -> Iterator[NGram]:

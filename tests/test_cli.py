@@ -312,6 +312,24 @@ class TestConfigPrecedence:
         assert "run.cfg:1" in capsys.readouterr().err
 
 
+class TestMalformedConfig:
+    """Commands that resolve no setting still parse their --config file."""
+
+    @pytest.mark.parametrize("command", ["dict filter", "dict invert", "dict stats",
+                                         "mine docs", "eval stats", "eval judge"])
+    def test_refused_before_anything_is_written(self, tmp_path, capsys, command):
+        argv = command_argv(command, tmp_path) + [
+            "--config", write(tmp_path / "bad.cfg", "this is not key value\n")]
+        before = sorted(tmp_path.iterdir())
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"lexmine: {tmp_path / 'bad.cfg'}:1: expected key=value, "
+                                "got 'this is not key value'\n")
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == before
+        assert list(Path().iterdir()) == []  # no default manifest in the CWD either
+
+
 def render_docs(path, prefix, docs):
     """One JSONL document per entry; each sentence is a list of lowercase words."""
     return write_docs(path, [
@@ -895,16 +913,28 @@ class TestRecordSchema:
         capsys.readouterr()
 
 
+# inputs on which adding floats left to right and the compensated builtin
+# sum() of Python 3.12 and later differ in the last bit: every ROUGE mean,
+# and pearson's covariance
+DRIFT_FILES = {
+    "drift_hyp.txt": "tiga\nlimo tujuah\nsatu anam tiga satu ampek tiga\nsatu\n",
+    "drift_ref.txt": "tiga\ntiga anam limo\ntiga\nsatu satu\n",
+    "drift_a.txt": "3\n5\n2\n",
+    "drift_b.txt": "3\n4\n2\n",
+}
+
 # (command, extra flags): each command once, and the eval runs whose flags
-# change how inputs are read or scored, or reach `pearson: null`. `sent cv
-# --algorithm lr` is left out: its floats come from numpy's exp and
-# logaddexp, whose last bits may differ between machines.
+# change how inputs are read or scored, reach `pearson: null`, or read the
+# DRIFT_FILES. `sent cv --algorithm lr` is left out: its floats come from
+# numpy's exp and logaddexp, whose last bits may differ between machines.
 GOLDEN_RUNS = [(command, ()) for command in COMMANDS] + [
     ("eval bleu", ("--lowercase",)),
     ("eval bleu", ("--no-tokenize",)),
     ("eval bleu", ("--lowercase", "--no-tokenize")),
     ("eval rouge", ("--lowercase",)),
     ("eval judge", ("--scores-b", "constant.txt")),
+    ("eval rouge", ("--hyp", "drift_hyp.txt", "--ref", "drift_ref.txt")),
+    ("eval judge", ("--scores-a", "drift_a.txt", "--scores-b", "drift_b.txt")),
 ]
 
 
@@ -914,6 +944,8 @@ def golden_digests(command, flags) -> dict[str, str]:
     stdout, stderr and every output file but the timing sidecar. Print it
     for each run in an empty directory to renew `GOLDEN_DIGESTS`."""
     write(Path("constant.txt"), "4\n4\n4\n")
+    for name, text in DRIFT_FILES.items():
+        write(Path(name), text)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = run(command_argv(command, Path()) + list(flags))
@@ -1047,6 +1079,18 @@ GOLDEN_DIGESTS = {
         "out.manifest.json": "00e265768fc10f35",
         "stderr": "",
         "stdout": "94ae760b70be922d",
+    },
+    "eval rouge --hyp drift_hyp.txt --ref drift_ref.txt": {
+        "out": "da8dfa27d6c8981a",
+        "out.manifest.json": "4a1efbfb919bd897",
+        "stderr": "",
+        "stdout": "5ea874ab0dc5cbeb",
+    },
+    "eval judge --scores-a drift_a.txt --scores-b drift_b.txt": {
+        "out": "34638f347c4ecf15",
+        "out.manifest.json": "187d8274525b886e",
+        "stderr": "",
+        "stdout": "80753ef4faf454a1",
     },
 }
 

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from lexmine.dictionary import (
     BilingualDictionary,
+    _check_single_word,
     dictionary_stats,
     filter_by_lexicon,
     invert,
@@ -17,6 +18,29 @@ from lexmine.dictionary import (
 from lexmine.errors import InputError, ParseError
 
 word_st = st.text(alphabet="abcde", min_size=1, max_size=4)
+# dictionary fields: letters that change when lowercased, and whitespace of
+# every kind in every position, control characters among it
+field_st = st.one_of(
+    st.text(alphabet=st.sampled_from(list("aBİß \t\r\n\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000")),
+            max_size=8),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8))
+
+
+def oracle_check_single_word(field, path, line_no):
+    """The reference word check: the stripped field, every character tested."""
+    word = field.strip()
+    if not word:
+        raise ParseError(path, line_no, "empty word")
+    if any(ch.isspace() for ch in word):
+        raise ParseError(path, line_no, f"multi-word entry not allowed: {word!r}")
+    return word.lower()
+
+
+def outcome(check, field):
+    try:
+        return check(field, "d.tsv", 7)
+    except ParseError as exc:
+        return ("error", str(exc))
 
 
 @st.composite
@@ -65,6 +89,10 @@ class TestParse:
     def test_multi_word_rejected(self):
         with pytest.raises(ParseError):
             parse_dictionary(["a\tdua kata"])
+
+    @given(field_st)
+    def test_word_check_equals_oracle(self, field):
+        assert outcome(_check_single_word, field) == outcome(oracle_check_single_word, field)
 
     def test_comments_and_blanks_skipped(self):
         d = parse_dictionary(["# header", "", "a\tb", "  ", "# trailing"])

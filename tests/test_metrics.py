@@ -15,6 +15,7 @@ from lexmine.metrics import (
     judgment_summary,
     pearson,
     rouge1_f1,
+    sum_in_order,
 )
 from lexmine.textproc import normalize
 
@@ -256,6 +257,19 @@ class TestBleu:
         assert report.bleu < 10.0
 
 
+class TestSumInOrder:
+    def test_rounds_after_each_addition(self):
+        # builtin sum() gives 1.0 from Python 3.12 on, 0.9999999999999999 before
+        assert sum_in_order([0.1] * 10) == 0.9999999999999999
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+    def test_equals_loop(self, values):
+        total = 0.0
+        for value in values:
+            total += value
+        assert sum_in_order(values) == total
+
+
 class TestPearson:
     def test_perfect_positive(self):
         assert pearson([1.0, 2.0, 3.0], [2.0, 4.0, 6.0]) == pytest.approx(1.0)
@@ -272,6 +286,12 @@ class TestPearson:
 
     def test_zero_variance_undefined(self):
         assert pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) is None
+
+    def test_adds_left_to_right(self):
+        # the compensated builtin sum() of Python 3.12 and later gives
+        # 0.9819805060619656 here; adding left to right gives the same bytes
+        # on every version
+        assert pearson([3.0, 5.0, 2.0], [3.0, 4.0, 2.0]) == 0.9819805060619659
 
     def test_too_short(self):
         with pytest.raises(InputError):

@@ -251,6 +251,19 @@ class TestCrossValidate:
         assert report.mean_f1_positive == pytest.approx(
             sum(f.f1_positive for f in report.folds) / len(report.folds))
 
+    def test_fold_means_add_left_to_right(self):
+        # two mislabeled rows leave one fold at F1 5/6; the compensated
+        # builtin sum() of Python 3.12 and later would make both means
+        # 0.9666666666666666
+        rows = keyword_corpus(30)
+        for k in (0, 45):
+            flipped = "negative" if rows[k].label == "positive" else "positive"
+            rows[k] = LabeledPair(flipped, rows[k].src_text, rows[k].tgt_text)
+        report = cross_validate(rows, self.config(), "train-tgt/test-tgt")
+        assert [f.f1_positive for f in report.folds] == [1.0, 1.0, 0.8333333333333334, 1.0, 1.0]
+        assert [f.f1_macro for f in report.folds] == [1.0, 1.0, 0.8333333333333334, 1.0, 1.0]
+        assert report.mean_f1_positive == report.mean_f1_macro == 0.9666666666666668
+
     def test_translation_mode_recovers_signal(self):
         # the zero-shot side spells its signal words differently; only the
         # dictionary route can map them back to the training vocabulary

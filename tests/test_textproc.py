@@ -1,11 +1,12 @@
 """Tokenization, segmentation, and n-gram behavior."""
 from __future__ import annotations
 
+import re
 import sys
 import unicodedata
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lexmine.errors import InputError
 from lexmine.textproc import (
@@ -50,6 +51,59 @@ def oracle_tokenize(text):
             tokens.append(chunk[lead:trail])
         tokens.extend(chunk[trail:])
     return tokens
+
+
+def oracle_split_sentences(text):
+    """The reference segmenter: every character visited in Python."""
+    sentences = []
+    start = 0
+    n = len(text)
+
+    def flush(end):
+        nonlocal start
+        piece = re.sub(r"\s+", " ", text[start:end]).strip()
+        if piece:
+            sentences.append(piece)
+        start = end
+
+    i = 0
+    while i < n:
+        ch = text[i]
+        if ch not in ".!?":
+            i += 1
+            continue
+        j = i + 1
+        while j < n and text[j] in ".!?":
+            j += 1
+        after = j
+        while after < n and text[after].isspace():
+            after += 1
+        at_end = after >= n
+        starts_new = not at_end and after > j and (text[after].isupper() or text[after].isdigit())
+        if ch == "." and j == i + 1:
+            k = i
+            while k > 0 and text[k - 1].isalnum():
+                k -= 1
+            word = text[k:i]
+            if len(word) <= 2 and word.isalpha() and word[0].isupper():
+                i = j
+                continue
+        if at_end or starts_new:
+            flush(j)
+        i = j
+    flush(n)
+    return sentences
+
+
+# sentence-shaped text: words of every length up to four before a
+# terminator run, Dr.-style initials among them, then whitespace of every
+# kind or a control character, then a word that may open a sentence
+sentence_text_strategy = st.lists(st.tuples(
+    st.sampled_from(["", "A", "Dr", "xDr", "aB1", "Abcd", "é", "É", "5", "٣", "½", "Ⅻ", "ǅ", "_"]),
+    st.sampled_from(["", ".", "!", "?", "..", "...", "?!"]),
+    st.sampled_from(["", " ", "  ", "\n", "\t", "\r", "\x0b", "\x1c", "\x85", "\u2028",
+                     "\u3000", "\x00", "\x07"]),
+), max_size=8).map(lambda parts: "".join(map("".join, parts)))
 
 
 class TestTokenize:
@@ -125,6 +179,25 @@ class TestSplitSentences:
     def test_newlines_collapse(self):
         got = split_sentences("Baris satu\ndua. Baris  tiga.")
         assert got == ["Baris satu dua.", "Baris tiga."]
+
+    @settings(max_examples=300)
+    @given(st.one_of(text_strategy, sentence_text_strategy))
+    # a three-letter word ending in an initial splits; a run of dots after
+    # an initial splits; an initial keeps "A.\tB" together
+    @example("xDr. Abcd")
+    @example("A.. B")
+    @example("A.\tB")
+    def test_equals_oracle(self, text):
+        assert split_sentences(text) == oracle_split_sentences(text)
+
+    def test_regex_whitespace_is_str_whitespace(self):
+        # split_sentences finds the whitespace after a terminator with re's
+        # \s and collapses it with str.split(); the oracle uses str.isspace
+        space = re.compile(r"\s")
+        offending = [hex(cp) for cp in range(sys.maxunicode + 1)
+                     if bool(space.match(chr(cp))) != chr(cp).isspace()
+                     or (len(f"a{chr(cp)}b".split()) == 2) != chr(cp).isspace()]
+        assert offending == []
 
     @given(text_strategy)
     def test_no_character_dropped(self, text):
