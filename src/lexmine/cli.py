@@ -75,47 +75,72 @@ def _conv_ints(raw: str) -> tuple[int, ...]:
     return tuple(int(part) for part in raw.split(",") if part.strip())
 
 
+# every setting a command can apply: config key -> (converter, default, flag
+# help); `leaf` gives each key with a help a flag --key-with-dashes
+_SETTINGS = {
+    "direction": (str, "src:tgt", "language pair label, e.g. min:id"),
+    "max_len": (int, 75, "truncate inputs to this many tokens, 0 disables"),
+    "threshold": (float, MiningConfig.align_threshold, "minimum alignment score"),
+    "trigram_top": (int, MiningConfig.trigram_top_k, "how many frequent trigrams to watch"),
+    "trigram_cap": (int, MiningConfig.trigram_cap, "max sentences per watched trigram"),
+    "one_to_one": (_conv_bool, MiningConfig.one_to_one, None),  # flag pair in mining_flags
+    "lowercase": (_conv_bool, False, "case-insensitive scoring"),
+    "no_tokenize": (_conv_bool, False, "input is pre-tokenized; split on spaces"),
+    "vocab_size": (int, CvConfig.bpe_vocab_size, "BPE vocabulary size"),
+    "algorithm": (str, CvConfig.algorithm, None),  # flag with choices in _build_parser
+    "folds": (int, CvConfig.folds, "fold count"),
+    "ratios": (_conv_floats, CvConfig.ratios, "train,dev,test"),
+    "seed": (int, CvConfig.seed, "shuffle seed"),
+    "nb_alpha_grid": (_conv_floats, CvConfig.nb_alpha_grid, None),
+    "lr_epoch_grid": (_conv_ints, CvConfig.lr_epoch_grid, None),
+    "lr_l2_grid": (_conv_floats, CvConfig.lr_l2_grid, None),
+    "lr_learning_rate": (float, CvConfig.lr_learning_rate, None),
+}
+# the config dataclass field of each key that names it differently
+_FIELDS = {"threshold": "align_threshold", "trigram_top": "trigram_top_k",
+           "vocab_size": "bpe_vocab_size"}
+
+
 def _read_config_file(path) -> dict[str, str]:
-    """key=value lines; '#' comments and blank lines are skipped."""
+    """key=value lines; '#' comments and blank lines are skipped. A key that
+    no command knows, or one given twice, is an error."""
     settings: dict[str, str] = {}
     for line_no, raw in content_lines(read_lines(path)):
         line = raw.strip()
         if "=" not in line:
             raise ParseError(path, line_no, f"expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        settings[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in _SETTINGS:
+            raise ParseError(path, line_no, f"unknown key {key!r}")
+        if key in settings:
+            raise ParseError(path, line_no, f"key {key!r} given twice")
+        settings[key] = value
     return settings
 
 
-def _resolve(args, spec) -> dict:
-    """Apply the flags > config file > defaults precedence.
-
-    `spec` rows are (name, default, converter); converters run on raw
-    strings only, so typed argparse values pass through unchanged. The
-    config file's settings are `args.file_settings`, which `run` reads.
-    """
+def _resolve(args) -> dict:
+    """Resolve the command's `args.settings` by the precedence flags >
+    config file (`args.file_settings`, which `run` reads) > defaults.
+    Converters run on raw strings only, so typed flag values pass through."""
     resolved = {}
-    for name, default, conv in spec:
-        value = getattr(args, name, None)
+    for key in args.settings:
+        conv, default, _ = _SETTINGS[key]
+        value = getattr(args, key, None)
         if value is None:
-            value = args.file_settings.get(name, default)
+            value = args.file_settings.get(key, default)
         if isinstance(value, str) and conv is not str:
             try:
                 value = conv(value)
             except ValueError as exc:
-                raise ConfigError(f"bad value for {name}: {exc}") from exc
-        resolved[name] = value
+                raise ConfigError(f"bad value for {key}: {exc}") from exc
+        resolved[key] = value
     return resolved
 
 
-def _resolve_config(args, cls, settings: dict):
-    """Resolve `settings` ({key: (field, converter)}) over the defaults of
-    the config dataclass `cls`; return the config and the settings applied,
+def _resolve_config(args, cls):
+    """The config dataclass `cls` of the resolved settings, and the settings
     by field name, which is what the manifest records."""
-    defaults = cls()
-    resolved = _resolve(args, [(key, getattr(defaults, name), conv)
-                               for key, (name, conv) in settings.items()])
-    applied = {name: resolved[key] for key, (name, _) in settings.items()}
+    applied = {_FIELDS.get(key, key): value for key, value in _resolve(args).items()}
     return cls(**applied), applied
 
 
@@ -172,7 +197,7 @@ def _emit_report(args, payload: dict, summary_line: str) -> None:
 # -- dict ----------------------------------------------------------------------
 
 def _cmd_dict_build(args) -> tuple[dict, dict]:
-    cfg = _resolve(args, [("direction", "src:tgt", str)])
+    cfg = _resolve(args)
     direction = _parse_direction(cfg["direction"])
     dictionary = load_dictionary(args.in_path, direction)
     save_dictionary(dictionary, args.out)
@@ -208,11 +233,8 @@ def _cmd_dict_stats(args) -> tuple[dict, dict]:
 
 # -- w2w -----------------------------------------------------------------------
 
-_MAX_LEN = 75  # tokens translated per input line
-
-
 def _cmd_w2w(args) -> tuple[dict, dict]:
-    cfg = _resolve(args, [("max_len", _MAX_LEN, int)])
+    cfg = _resolve(args)
     if cfg["max_len"] < 0:
         raise ConfigError(f"max-len must be >= 0, got {cfg['max_len']}")
     dictionary = load_dictionary(args.dict)
@@ -242,14 +264,6 @@ def _cmd_w2w(args) -> tuple[dict, dict]:
 
 # -- mine ----------------------------------------------------------------------
 
-_MINING_SETTINGS = {
-    "threshold": ("align_threshold", float),
-    "trigram_top": ("trigram_top_k", int),
-    "trigram_cap": ("trigram_cap", int),
-    "one_to_one": ("one_to_one", _conv_bool),
-}
-
-
 def _cmd_mine_docs(args) -> tuple[dict, dict]:
     src_docs = read_documents(args.src)
     tgt_docs = read_documents(args.tgt)
@@ -262,10 +276,7 @@ def _cmd_mine_docs(args) -> tuple[dict, dict]:
 
 
 def _run_mining(args, apply_filter: bool) -> tuple[dict, dict]:
-    # without the filter (mine sents) no trigram setting is resolved or recorded
-    mining_cfg, config = _resolve_config(args, MiningConfig, {
-        key: row for key, row in _MINING_SETTINGS.items()
-        if apply_filter or not key.startswith("trigram_")})
+    mining_cfg, config = _resolve_config(args, MiningConfig)
     src_docs = read_documents(args.src)
     tgt_docs = read_documents(args.tgt)
     dictionary = load_dictionary(args.dict)
@@ -286,8 +297,7 @@ def _cmd_mine_all(args) -> tuple[dict, dict]:
 
 
 def _cmd_mine_filter(args) -> tuple[dict, dict]:
-    mining_cfg, config = _resolve_config(args, MiningConfig, {
-        key: row for key, row in _MINING_SETTINGS.items() if key.startswith("trigram_")})
+    mining_cfg, config = _resolve_config(args, MiningConfig)
     pairs = read_corpus(args.in_path)
     kept = diversity_filter(pairs, mining_cfg)
     write_corpus(kept, args.out)
@@ -319,8 +329,7 @@ def _parallel_tokens(args, pretokenized: bool, lowercase: bool):
 
 
 def _cmd_eval_bleu(args) -> tuple[dict, dict]:
-    cfg = _resolve(args, [("lowercase", False, _conv_bool),
-                          ("no_tokenize", False, _conv_bool)])
+    cfg = _resolve(args)
     segments, hyps, refs = _parallel_tokens(args, cfg["no_tokenize"], cfg["lowercase"])
     report = bleu(hyps, refs)
     if args.out:
@@ -330,7 +339,7 @@ def _cmd_eval_bleu(args) -> tuple[dict, dict]:
 
 
 def _cmd_eval_rouge(args) -> tuple[dict, dict]:
-    cfg = _resolve(args, [("lowercase", False, _conv_bool)])
+    cfg = _resolve(args)
     _, hyps, refs = _parallel_tokens(args, pretokenized=False, lowercase=cfg["lowercase"])
     scores = [rouge1_f1(h, r) for h, r in zip(hyps, refs)]
     payload = {
@@ -394,7 +403,7 @@ def _cmd_eval_judge(args) -> tuple[dict, dict]:
 # -- sent ----------------------------------------------------------------------
 
 def _cmd_sent_bpe(args) -> tuple[dict, dict]:
-    cfg = _resolve(args, [("vocab_size", CvConfig.bpe_vocab_size, int)])
+    cfg = _resolve(args)
     lines = [line for line in read_lines(args.in_path) if line.strip()]
     if not lines:
         raise InputError(f"{args.in_path} has no text")
@@ -404,21 +413,8 @@ def _cmd_sent_bpe(args) -> tuple[dict, dict]:
     return cfg, {"lines": len(lines), "merges": len(model.merges)}
 
 
-_CV_SETTINGS = {
-    "algorithm": ("algorithm", str),
-    "folds": ("folds", int),
-    "ratios": ("ratios", _conv_floats),
-    "seed": ("seed", int),
-    "vocab_size": ("bpe_vocab_size", int),
-    "nb_alpha_grid": ("nb_alpha_grid", _conv_floats),
-    "lr_epoch_grid": ("lr_epoch_grid", _conv_ints),
-    "lr_l2_grid": ("lr_l2_grid", _conv_floats),
-    "lr_learning_rate": ("lr_learning_rate", float),
-}
-
-
 def _cmd_sent_cv(args) -> tuple[dict, dict]:
-    config, applied = _resolve_config(args, CvConfig, _CV_SETTINGS)
+    config, applied = _resolve_config(args, CvConfig)
     rows = load_labeled_tsv(args.data)
     dictionary = load_dictionary(args.dict, ("tgt", "src")) if args.dict else None
     report = cross_validate(rows, config, args.mode, dictionary)
@@ -442,17 +438,30 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="key=value settings file")
     common.add_argument("--manifest", help="manifest output path")
 
-    def leaf(subparsers, name, handler, help_text):
+    def leaf(subparsers, name, handler, help_text, settings=()):
+        """A command parser that resolves `settings`, with their flags."""
         sub = subparsers.add_parser(name, parents=[common], help=help_text)
-        sub.set_defaults(handler=handler)
+        for key in settings:
+            conv, default, flag_help = _SETTINGS[key]
+            if flag_help is None:  # no flag, or a hand-written one
+                continue
+            flag = "--" + key.replace("_", "-")
+            if conv is _conv_bool:
+                sub.add_argument(flag, dest=key, action="store_true", default=None,
+                                 help=flag_help)
+            else:
+                shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+                sub.add_argument(flag, dest=key, type=conv if conv in (int, float) else None,
+                                 help=f"{flag_help} (default {shown})")
+        sub.set_defaults(handler=handler, settings=settings)
         return sub
 
     dict_group = groups.add_parser("dict", help="bilingual dictionary tools")
     dict_subs = dict_group.add_subparsers(dest="sub", required=True, metavar="action")
-    sub = leaf(dict_subs, "build", _cmd_dict_build, "normalize a raw dictionary TSV")
+    sub = leaf(dict_subs, "build", _cmd_dict_build, "normalize a raw dictionary TSV",
+               ("direction",))
     sub.add_argument("--in", dest="in_path", required=True, help="raw dictionary TSV")
     sub.add_argument("--out", required=True, help="canonical dictionary TSV")
-    sub.add_argument("--direction", help="language pair label, e.g. min:id")
     sub = leaf(dict_subs, "filter", _cmd_dict_filter,
                "drop translations missing from a lexicon")
     sub.add_argument("--dict", required=True, help="dictionary TSV")
@@ -465,34 +474,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--dict", required=True)
     sub.add_argument("--out", help="JSON output (default: stdout)")
 
-    sub = leaf(groups, "w2w", _cmd_w2w, "word-for-word translation, one sentence per line")
+    sub = leaf(groups, "w2w", _cmd_w2w, "word-for-word translation, one sentence per line",
+               ("max_len",))
     sub.add_argument("--dict", required=True)
     sub.add_argument("--in", dest="in_path", required=True, help="input sentences")
     sub.add_argument("--out", required=True, help="translated sentences")
     sub.add_argument("--summary", help="OOV summary JSON (default: <out>.oov.json)")
-    sub.add_argument("--max-len", dest="max_len", type=int,
-                     help=f"truncate inputs to this many tokens, 0 disables (default {_MAX_LEN})")
 
     mine_group = groups.add_parser("mine", help="parallel corpus construction")
     mine_subs = mine_group.add_subparsers(dest="sub", required=True, metavar="stage")
 
-    def trigram_flags(sub):
-        sub.add_argument("--trigram-top", dest="trigram_top", type=int,
-                         help="how many frequent trigrams to watch "
-                              f"(default {MiningConfig.trigram_top_k})")
-        sub.add_argument("--trigram-cap", dest="trigram_cap", type=int,
-                         help="max sentences per watched trigram "
-                              f"(default {MiningConfig.trigram_cap})")
-
-    def mining_flags(sub, with_filter=True):
+    def mining_flags(sub):
         sub.add_argument("--src", required=True, help="source documents JSONL")
         sub.add_argument("--tgt", required=True, help="target documents JSONL")
         sub.add_argument("--dict", required=True, help="source->target dictionary TSV")
         sub.add_argument("--out", required=True, help="corpus TSV")
-        sub.add_argument("--threshold", type=float,
-                         help=f"minimum alignment score (default {MiningConfig.align_threshold})")
-        if with_filter:
-            trigram_flags(sub)
         pairing = sub.add_mutually_exclusive_group()
         pairing.add_argument("--one-to-one", dest="one_to_one", action="store_true",
                              default=None, help="unique targets per document (default)")
@@ -503,30 +499,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--src", required=True)
     sub.add_argument("--tgt", required=True)
     sub.add_argument("--out", required=True, help="TSV: src_id, tgt_id, title")
-    sub = leaf(mine_subs, "sents", _cmd_mine_sents, "align sentences (no trigram filter)")
-    mining_flags(sub, with_filter=False)
+    mining_flags(leaf(mine_subs, "sents", _cmd_mine_sents, "align sentences (no trigram filter)",
+                      ("threshold", "one_to_one")))
     sub = leaf(mine_subs, "filter", _cmd_mine_filter,
-               "apply the trigram diversity filter to a corpus TSV")
+               "apply the trigram diversity filter to a corpus TSV",
+               ("trigram_top", "trigram_cap"))
     sub.add_argument("--in", dest="in_path", required=True, help="corpus TSV")
     sub.add_argument("--out", required=True)
-    trigram_flags(sub)
-    sub = leaf(mine_subs, "all", _cmd_mine_all, "full pipeline: pair, align, filter")
-    mining_flags(sub, with_filter=True)
+    mining_flags(leaf(mine_subs, "all", _cmd_mine_all, "full pipeline: pair, align, filter",
+                      ("threshold", "trigram_top", "trigram_cap", "one_to_one")))
 
     eval_group = groups.add_parser("eval", help="metrics over line-aligned files")
     eval_subs = eval_group.add_subparsers(dest="sub", required=True, metavar="metric")
-    sub = leaf(eval_subs, "bleu", _cmd_eval_bleu, "corpus-level BLEU")
+    sub = leaf(eval_subs, "bleu", _cmd_eval_bleu, "corpus-level BLEU",
+               ("lowercase", "no_tokenize"))
     sub.add_argument("--hyp", required=True, help="hypothesis file, one segment per line")
     sub.add_argument("--ref", required=True, help="reference file, line-aligned")
-    sub.add_argument("--lowercase", action="store_true", default=None,
-                     help="case-insensitive scoring")
-    sub.add_argument("--no-tokenize", dest="no_tokenize", action="store_true",
-                     default=None, help="input is pre-tokenized; split on spaces")
     sub.add_argument("--out", help="JSON report (default: stdout)")
-    sub = leaf(eval_subs, "rouge", _cmd_eval_rouge, "mean ROUGE-1 F1")
+    sub = leaf(eval_subs, "rouge", _cmd_eval_rouge, "mean ROUGE-1 F1", ("lowercase",))
     sub.add_argument("--hyp", required=True)
     sub.add_argument("--ref", required=True)
-    sub.add_argument("--lowercase", action="store_true", default=None)
     sub.add_argument("--out", help="JSON report (default: stdout)")
     sub = leaf(eval_subs, "stats", _cmd_eval_stats,
                "descriptive statistics of a parallel corpus")
@@ -541,24 +533,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sent_group = groups.add_parser("sent", help="sentiment classification harness")
     sent_subs = sent_group.add_subparsers(dest="sub", required=True, metavar="action")
-    sub = leaf(sent_subs, "bpe", _cmd_sent_bpe, "learn a subword merge table")
+    sub = leaf(sent_subs, "bpe", _cmd_sent_bpe, "learn a subword merge table", ("vocab_size",))
     sub.add_argument("--in", dest="in_path", required=True, help="training text")
     sub.add_argument("--out", required=True, help="model JSON")
-    sub.add_argument("--vocab-size", dest="vocab_size", type=int,
-                     help=f"target vocabulary size (default {CvConfig.bpe_vocab_size})")
-    sub = leaf(sent_subs, "cv", _cmd_sent_cv, "stratified k-fold cross-validation")
+    sub = leaf(sent_subs, "cv", _cmd_sent_cv, "stratified k-fold cross-validation",
+               ("algorithm", "folds", "ratios", "seed", "vocab_size", "nb_alpha_grid",
+                "lr_epoch_grid", "lr_l2_grid", "lr_learning_rate"))
     sub.add_argument("--data", required=True,
                      help="TSV: label, src text, optional tgt text")
     sub.add_argument("--mode", required=True, choices=MODES)
     sub.add_argument("--algorithm", choices=["nb", "lr"],
                      help=f"classifier (default {CvConfig.algorithm})")
     sub.add_argument("--dict", help="tgt->src dictionary TSV (needed for test-w2w)")
-    sub.add_argument("--folds", type=int, help=f"fold count (default {CvConfig.folds})")
-    sub.add_argument("--ratios", help="train,dev,test "
-                                      f"(default {','.join(map(str, CvConfig.ratios))})")
-    sub.add_argument("--seed", type=int, help="shuffle seed")
-    sub.add_argument("--vocab-size", dest="vocab_size", type=int,
-                     help=f"BPE vocabulary size (default {CvConfig.bpe_vocab_size})")
     sub.add_argument("--out", help="JSON report (default: stdout)")
 
     return parser

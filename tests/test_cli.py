@@ -311,9 +311,18 @@ class TestConfigPrecedence:
                     "--out", str(tmp_path / "k.tsv"), "--config", cfg]) == 1
         assert "run.cfg:1" in capsys.readouterr().err
 
+    def test_key_given_twice(self, tmp_path, capsys):
+        corpus = self.corpus(tmp_path)
+        cfg = write(tmp_path / "run.cfg", "trigram_cap = 10\n# again\ntrigram_cap=20\n")
+        before = sorted(tmp_path.iterdir())
+        assert run(["mine", "filter", "--in", corpus,
+                    "--out", str(tmp_path / "k.tsv"), "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"lexmine: {cfg}:3: key 'trigram_cap' given twice\n"
+        assert sorted(tmp_path.iterdir()) == before
+
 
 class TestMalformedConfig:
-    """Commands that resolve no setting still parse their --config file."""
+    """Every command parses its whole --config file, also one that resolves no setting."""
 
     @pytest.mark.parametrize("command", ["dict filter", "dict invert", "dict stats",
                                          "mine docs", "eval stats", "eval judge"])
@@ -328,6 +337,31 @@ class TestMalformedConfig:
         assert captured.out == ""
         assert sorted(tmp_path.iterdir()) == before
         assert list(Path().iterdir()) == []  # no default manifest in the CWD either
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unknown_key_refused(self, tmp_path, capsys, command):
+        argv = command_argv(command, tmp_path) + [
+            "--config", write(tmp_path / "run.cfg", "# misspelled\nlr_l2grid=0.5\n")]
+        before = sorted(tmp_path.iterdir())
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            f"lexmine: {tmp_path / 'run.cfg'}:2: unknown key 'lr_l2grid'\n")
+        assert sorted(tmp_path.iterdir()) == before
+        assert list(Path().iterdir()) == []
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_other_commands_key_is_allowed(self, tmp_path, capsys, command):
+        # one file may serve several commands: a key that this command does
+        # not apply changes nothing it records but the config file's digest
+        key = "direction=a:b" if command != "dict build" else "max_len=3"
+        argv = command_argv(command, tmp_path)
+        assert run(argv) == 0
+        plain = json.loads((tmp_path / "out.manifest.json").read_text())
+        assert run(argv + ["--config", write(tmp_path / "run.cfg", key + "\n")]) == 0
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        assert manifest["config"] == plain["config"]
+        assert manifest["counts"] == plain["counts"]
+        capsys.readouterr()
 
 
 def render_docs(path, prefix, docs):
@@ -393,18 +427,16 @@ class TestMine:
         assert len(out.read_text().splitlines()) == 4
         capsys.readouterr()
 
-    def test_config_jobs_key_is_ignored(self, tmp_path, capsys):
-        # mining runs in one process; a jobs key, even an invalid one, changes nothing
+    def test_config_jobs_key_is_refused(self, tmp_path, capsys):
+        # mining runs in one process and no command has a jobs setting, so a
+        # jobs key is refused with its line before anything is written
         src, tgt, d = identity_docs(tmp_path)
-        plain = tmp_path / "plain.tsv"
+        cfg = write(tmp_path / "run.cfg", "threshold=0.5\njobs=0\n")
+        before = sorted(tmp_path.iterdir())
         assert run(["mine", "all", "--src", src, "--tgt", tgt, "--dict", d,
-                    "--out", str(plain)]) == 0
-        cfg = write(tmp_path / "run.cfg", "jobs=0\n")
-        out = tmp_path / "corpus.tsv"
-        assert run(["mine", "all", "--src", src, "--tgt", tgt, "--dict", d,
-                    "--config", cfg, "--out", str(out)]) == 0
-        assert out.read_bytes() == plain.read_bytes()
-        capsys.readouterr()
+                    "--config", cfg, "--out", str(tmp_path / "corpus.tsv")]) == 1
+        assert capsys.readouterr().err == f"lexmine: {cfg}:2: unknown key 'jobs'\n"
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_threshold_flag(self, tmp_path, capsys):
         src, tgt, d = identity_docs(tmp_path)
@@ -712,8 +744,9 @@ class TestSent:
 
     def test_cv_invalid_mode_is_usage_error(self, tmp_path, capsys):
         data = cv_data(tmp_path)
-        assert run(["sent", "cv", "--data", data, "--mode", "nope"]) == 2
-        capsys.readouterr()
+        for bad in (["--mode", "nope"], ["--mode", "train-tgt/test-tgt", "--algorithm", "nope"]):
+            assert run(["sent", "cv", "--data", data, *bad]) == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_cv_same_seed_reproduces(self, tmp_path, capsys):
         data = cv_data(tmp_path)
@@ -1112,11 +1145,8 @@ class TestGoldenOutputs:
 JUNK_PIECES = ["\t", "|", "#", "=", "\n", " ", "{", "}", "[", "]", '"', ":", ",", "null",
                '{"id": 1, "title": "T", "text": "A b."}', "0", "42", "-3.5", "nan", "inf",
                "a", "B", ".", "é", "Ünï", "漢字", "😀", "positive"]
-# `jobs` is no setting of any command: it stands for a key that is ignored
-SETTING_NAMES = ["direction", "max_len", "threshold", "trigram_top", "trigram_cap",
-                 "one_to_one", "jobs", "lowercase", "no_tokenize", "vocab_size", "algorithm",
-                 "folds", "ratios", "seed", "nb_alpha_grid", "lr_epoch_grid", "lr_l2_grid",
-                 "lr_learning_rate"]
+# `jobs` is no setting of any command: it stands for an unknown key
+SETTING_NAMES = [*cli._SETTINGS, "jobs"]
 junk_st = st.lists(st.sampled_from(JUNK_PIECES), max_size=30).map("".join)
 junk_config_st = st.lists(st.tuples(st.sampled_from(SETTING_NAMES), junk_st), max_size=4).map(
     lambda rows: "\n".join(f"{key}={value}" for key, value in rows))
@@ -1348,10 +1378,10 @@ class TestOutputPaths:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.tsv"]
 
 
-# argparse dests of the flags that name no file
-SETTING_DESTS = {"direction", "max_len", "threshold", "trigram_top", "trigram_cap", "one_to_one",
-                 "lowercase", "no_tokenize", "mode", "algorithm", "folds", "ratios", "seed",
-                 "vocab_size"}
+# argparse dests of the flags that name no file: the settings with a generated
+# flag, the two with a hand-written one, and --mode
+SETTING_DESTS = {key for key, (_, _, flag_help) in cli._SETTINGS.items() if flag_help} | {
+    "one_to_one", "algorithm", "mode"}
 
 
 def leaf_parsers(parser, names=()):
@@ -1376,6 +1406,40 @@ def test_every_flag_is_classified():
             if dest not in files | SETTING_DESTS} == set()
     # and no table names a flag that no command has
     assert {dest for _, dest in dests} == files | SETTING_DESTS
+
+
+def test_every_help_renders():
+    # argparse %-formats help strings only when it shows them, so a stray %
+    # in generated help would fail at `--help`, not when the parser is built
+    for command, sub in leaf_parsers(cli._build_parser()):
+        assert sub.format_help().startswith(f"usage: lexmine {command} "), command
+
+
+def test_setting_flags_name_their_default():
+    for command, sub in leaf_parsers(cli._build_parser()):
+        for action in sub._actions:
+            if action.dest in cli._SETTINGS and action.nargs != 0:  # booleans take no value
+                default = cli._SETTINGS[action.dest][1]
+                shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+                assert f"(default {shown})" in action.help, (command, action.dest)
+
+
+def test_readme_lists_every_config_key():
+    # the README table of config keys: each key, the commands that read it
+    # and its default
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config files", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:4] for line in section.splitlines() if line.startswith("| `")]
+    documented = {key.strip(" `"): (sorted(c.strip(" `") for c in commands.split(",")),
+                                    default.strip(" `"))
+                  for key, commands, default in rows}
+    readers = {key: sorted(command for command, sub in leaf_parsers(cli._build_parser())
+                           if key in sub.get_default("settings"))
+               for key in cli._SETTINGS}
+    shown = {key: (",".join(map(str, default)) if isinstance(default, tuple)
+                   else str(default).lower())
+             for key, (_, default, _) in cli._SETTINGS.items()}
+    assert documented == {key: (readers[key], shown[key]) for key in cli._SETTINGS}
 
 
 @pytest.mark.parametrize("module", ["lexmine", "lexmine.cli"])
