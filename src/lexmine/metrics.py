@@ -13,7 +13,7 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, zip_longest
+from itertools import zip_longest
 
 from .errors import InputError
 from .textproc import Token, is_punctuation, ngrams, tokenize
@@ -31,6 +31,28 @@ def sum_in_order(values: Iterable[float]) -> float:
     return reduce(operator.add, values, 0.0)
 
 
+def _clipped_matches(hyp_grams: list, ref_grams: list) -> int:
+    """Clipped matches of two lists of grams: the sum, over each distinct
+    gram g, of min(h(g), r(g)), where h and r count g in each list.
+
+    Every g found in both lists adds min(h(g), r(g)) = 1 + (min(h(g),
+    r(g)) - 1); every other g adds 0. So the sum is the number of distinct
+    shared grams plus, over the shared grams, min(h(g), r(g)) - 1. That
+    last term is 0 unless h(g) > 1 and r(g) > 1. The first part is one set
+    intersection, and only grams repeated in both lists need counting; when
+    no gram repeats in `hyp_grams`, there are none.
+    """
+    distinct = set(hyp_grams)
+    matches = len(distinct.intersection(ref_grams))
+    if len(distinct) < len(hyp_grams):
+        for gram, count in Counter(hyp_grams).items():
+            if count > 1:
+                ref_count = ref_grams.count(gram)
+                if ref_count > 1:
+                    matches += min(count, ref_count) - 1
+    return matches
+
+
 @dataclass(frozen=True)
 class RougeScore:
     precision: float
@@ -43,9 +65,7 @@ class RougeScore:
 
 def rouge1_f1(candidate: list[Token], reference: list[Token]) -> RougeScore:
     """Unigram-overlap F1 with clipped (multiset-min) counts."""
-    cand_counts = Counter(candidate)
-    ref_counts = Counter(reference)
-    overlap = sum(min(cnt, ref_counts[tok]) for tok, cnt in cand_counts.items())
+    overlap = _clipped_matches(candidate, reference)
     precision = overlap / len(candidate) if candidate else 0.0
     recall = overlap / len(reference) if reference else 0.0
     # 2PR/(P+R) as one correctly rounded division: equal fractions give
@@ -77,7 +97,8 @@ class BleuReport:
 def _pooled_counts(hypotheses, references):
     """Clipped n-gram matches and hypothesis n-gram totals per order, pooled
     over the segment pairs, with the pooled hypothesis and reference lengths.
-    Each side of a segment is counted in one pass over all its orders."""
+    Each order of a segment is clipped by `_clipped_matches`; unigrams are
+    the tokens themselves rather than 1-tuples, which counts the same."""
     correct = [0] * BLEU_MAX_ORDER
     total = [0] * BLEU_MAX_ORDER
     hyp_len = ref_len = 0
@@ -89,11 +110,10 @@ def _pooled_counts(hypotheses, references):
             continue  # counting what is left of the longer side
         hyp_len += len(hyp)
         ref_len += len(ref)
-        orders = range(1, min(len(hyp), BLEU_MAX_ORDER) + 1)
-        ref_counts = Counter(chain.from_iterable(ngrams(ref, n) for n in orders))
-        for gram, count in Counter(chain.from_iterable(ngrams(hyp, n) for n in orders)).items():
-            correct[len(gram) - 1] += min(count, ref_counts.get(gram, 0))
-        for n in orders:
+        correct[0] += _clipped_matches(hyp, ref)
+        total[0] += len(hyp)
+        for n in range(2, min(len(hyp), BLEU_MAX_ORDER) + 1):
+            correct[n - 1] += _clipped_matches(list(ngrams(hyp, n)), list(ngrams(ref, n)))
             total[n - 1] += len(hyp) - n + 1
     if hyp_count != ref_count:
         raise InputError(f"hypothesis/reference counts differ: {hyp_count} vs {ref_count}")

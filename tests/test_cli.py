@@ -948,7 +948,8 @@ class TestRecordSchema:
 
 # inputs on which adding floats left to right and the compensated builtin
 # sum() of Python 3.12 and later differ in the last bit: every ROUGE mean,
-# and pearson's covariance
+# and pearson's covariance; the hyp and ref lines also repeat `satu` and
+# `tiga` with different counts on each side, so BLEU clips
 DRIFT_FILES = {
     "drift_hyp.txt": "tiga\nlimo tujuah\nsatu anam tiga satu ampek tiga\nsatu\n",
     "drift_ref.txt": "tiga\ntiga anam limo\ntiga\nsatu satu\n",
@@ -968,6 +969,7 @@ GOLDEN_RUNS = [(command, ()) for command in COMMANDS] + [
     ("eval judge", ("--scores-b", "constant.txt")),
     ("eval rouge", ("--hyp", "drift_hyp.txt", "--ref", "drift_ref.txt")),
     ("eval judge", ("--scores-a", "drift_a.txt", "--scores-b", "drift_b.txt")),
+    ("eval bleu", ("--hyp", "drift_hyp.txt", "--ref", "drift_ref.txt")),
 ]
 
 
@@ -1124,6 +1126,12 @@ GOLDEN_DIGESTS = {
         "out.manifest.json": "187d8274525b886e",
         "stderr": "",
         "stdout": "80753ef4faf454a1",
+    },
+    "eval bleu --hyp drift_hyp.txt --ref drift_ref.txt": {
+        "out": "e2f6898d30a80533",
+        "out.manifest.json": "6217f708aefddcd2",
+        "stderr": "",
+        "stdout": "899556a848e9704f",
     },
 }
 

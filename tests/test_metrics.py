@@ -2,13 +2,17 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict
+from itertools import chain, zip_longest
 
 import pytest
 from hypothesis import given, strategies as st
 
 from lexmine.errors import InputError
 from lexmine.metrics import (
+    BLEU_MAX_ORDER,
+    _clipped_matches,
     _pooled_counts,
     bleu,
     corpus_stats,
@@ -17,7 +21,7 @@ from lexmine.metrics import (
     rouge1_f1,
     sum_in_order,
 )
-from lexmine.textproc import normalize
+from lexmine.textproc import ngrams, normalize
 
 token_st = st.sampled_from(list("abcdefg"))
 segment_st = st.lists(token_st, min_size=1, max_size=10)
@@ -25,6 +29,22 @@ corpus_st = st.lists(st.tuples(segment_st, segment_st), min_size=1, max_size=8)
 # short segments over three tokens: n-grams of every order repeat and clip
 short_segment_st = st.lists(st.sampled_from("abc"), max_size=5)
 short_corpus_st = st.lists(st.tuples(short_segment_st, short_segment_st), min_size=1, max_size=8)
+wide_token_st = st.sampled_from([f"w{i}" for i in range(40)])
+
+
+@st.composite
+def wide_pair_st(draw):
+    """A segment pair over 40 tokens, so most segments repeat no n-gram;
+    the reference holds a run of the hypothesis, so n-grams of every order
+    are shared."""
+    hyp = draw(st.lists(wide_token_st, max_size=12))
+    start = draw(st.integers(0, len(hyp)))
+    stop = draw(st.integers(start, len(hyp)))
+    edge = st.lists(wide_token_st, max_size=4)
+    return hyp, draw(edge) + hyp[start:stop] + draw(edge)
+
+
+wide_corpus_st = st.lists(wide_pair_st(), min_size=1, max_size=8)
 
 
 class TestRouge1:
@@ -90,6 +110,34 @@ def oracle_counts(pairs):
             for gram in set(hyp_grams):
                 correct[n - 1] += min(hyp_grams.count(gram), ref_grams.count(gram))
     return correct, total
+
+
+def oracle_pooled_counts(hypotheses, references):
+    """`_pooled_counts` as it was before set intersection: one Counter per
+    side over all orders chained together, and min(count, reference count)
+    for every distinct hypothesis n-gram."""
+    correct = [0] * BLEU_MAX_ORDER
+    total = [0] * BLEU_MAX_ORDER
+    hyp_len = ref_len = 0
+    hyp_count = ref_count = 0
+    for hyp, ref in zip_longest(hypotheses, references):
+        hyp_count += hyp is not None
+        ref_count += ref is not None
+        if hyp is None or ref is None:
+            continue
+        hyp_len += len(hyp)
+        ref_len += len(ref)
+        orders = range(1, min(len(hyp), BLEU_MAX_ORDER) + 1)
+        ref_counts = Counter(chain.from_iterable(ngrams(ref, n) for n in orders))
+        for gram, count in Counter(chain.from_iterable(ngrams(hyp, n) for n in orders)).items():
+            correct[len(gram) - 1] += min(count, ref_counts.get(gram, 0))
+        for n in orders:
+            total[n - 1] += len(hyp) - n + 1
+    if hyp_count != ref_count:
+        raise InputError(f"hypothesis/reference counts differ: {hyp_count} vs {ref_count}")
+    if not hyp_count:
+        raise InputError("at least one hypothesis is required")
+    return correct, total, hyp_len, ref_len
 
 
 def oracle_precisions(pairs):
@@ -210,6 +258,31 @@ class TestBleu:
         report = bleu(*sides(pairs))
         assert list(report.ngram_precisions) == oracle_precisions(pairs)
         assert (report.hyp_length, report.ref_length) == lengths
+
+    @pytest.mark.parametrize("strategy", [corpus_st, short_corpus_st, wide_corpus_st],
+                             ids=["corpus", "short", "wide"])
+    @given(data=st.data())
+    def test_pooled_counts_equal_both_oracles(self, strategy, data):
+        pairs = data.draw(strategy)
+        counts = _pooled_counts(*sides(pairs))
+        assert counts == oracle_pooled_counts(*sides(pairs))
+        assert counts[:2] == oracle_counts(pairs)
+
+    @pytest.mark.parametrize("hyp, ref, matches", [
+        (["a", "b", "c"], ["c", "b", "d"], 2),            # no repeat
+        (["a", "a", "b"], ["a", "b", "c"], 2),            # repeat in hyp only
+        (["a", "b"], ["a", "a", "a", "b"], 2),            # repeat in ref only
+        (["a", "a", "b"], ["a", "a", "a"], 2),            # both, hyp count < ref count
+        (["a", "a", "b", "c"], ["a", "c", "a"], 3),       # both, hyp count = ref count
+        (["a", "a", "a", "b"], ["b", "a", "a", "c"], 3),  # both, hyp count > ref count
+        ([], ["a"], 0),
+    ])
+    def test_clipped_matches_branches(self, hyp, ref, matches):
+        hyp_counts, ref_counts = Counter(hyp), Counter(ref)
+        assert sum(min(c, ref_counts[g]) for g, c in hyp_counts.items()) == matches
+        assert _clipped_matches(hyp, ref) == matches
+        bigrams = [(g, "x") for g in hyp], [(g, "x") for g in ref]
+        assert _clipped_matches(*bigrams) == matches
 
     def test_pulls_both_sides_in_lockstep(self):
         pulls = []
