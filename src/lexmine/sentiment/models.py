@@ -3,9 +3,14 @@
 Both classifiers are written out in full so their internals can be checked
 directly: NB posteriors against closed-form smoothed-count arithmetic, and
 the LR gradient against finite differences of `_LrProblem.loss`. LR needs only
-numpy: its sparse products are weighted `np.bincount` sums over coordinate
-arrays. NB is pure Python, so numpy is imported only where LR uses it.
-Prediction ties break toward the negative (majority) class.
+numpy: its two sparse products are weighted `np.bincount` sums over
+coordinate arrays, and `np.bincount` adds each bin's weights in array order.
+So every sum adds its terms in the order of the entries that feed it:
+`gradient` reads them row by row, and `scores` reads the same entries
+interleaved across rows, which keeps each row's order (and so its bits) but
+lets consecutive adds go to different bins. NB is pure Python, so numpy is
+imported only where LR uses it. Prediction ties break toward the negative
+(majority) class.
 """
 from __future__ import annotations
 
@@ -118,10 +123,22 @@ def _logistic(scores: np.ndarray) -> np.ndarray:
 class _LrProblem:
     """Dataset as coordinate arrays over a fixed (sorted) feature order.
 
-    `rows`, `cols` and `vals` hold one entry per feature of each row: rows
-    in data order, each row's features in sorted order, as in a canonical
-    CSR matrix. The products with a weight or residual vector are weighted
-    bincounts over these arrays, so every sum adds its terms in that order.
+    There is one entry per feature of each row, each row's features taken
+    in sorted order. The products with a weight or residual vector are
+    weighted `np.bincount` sums over these entries; since `np.bincount`
+    adds each bin's weights in array order, the entry order fixes the order
+    of every sum's terms, and so its bits.
+
+    - `gradient` (one sum per feature) reads `cols` and `vals` in row-major
+      order: rows in data order, each row's features sorted, as in a
+      canonical CSR matrix. Each feature adds its terms in row order.
+    - `scores` (one sum per row) reads `score_rows`, `score_cols` and
+      `score_vals`: the same entries ordered by position within their row,
+      then by row, so every row's first feature comes first, then every
+      row's second, and so on. Each row still adds its features in sorted
+      order, the bits of a row-major sum. But consecutive entries fall in
+      different bins, so no add waits for the one just before it, and
+      the bincount runs about twice as fast on sent-cv's folds.
     """
 
     def __init__(self, data: list[tuple[FeatureVector, str]]):
@@ -130,36 +147,69 @@ class _LrProblem:
         _check_labels(label for _, label in data)
         self.feature_ids = sorted({f for features, _ in data for f in features})
         index = {f: i for i, f in enumerate(self.feature_ids)}
-        rows, cols, vals = [], [], []
+        rows, positions, cols, vals = [], [], [], []
         for row, (features, _) in enumerate(data):
-            for feature, count in sorted(features.items()):
+            for position, (feature, count) in enumerate(sorted(features.items())):
                 rows.append(row)
+                positions.append(position)
                 cols.append(index[feature])
                 vals.append(float(count))
-        self.rows = np.array(rows, dtype=np.intp)
         self.cols = np.array(cols, dtype=np.intp)
         self.vals = np.array(vals, dtype=np.float64)
+        self.row_lengths = np.array([len(features) for features, _ in data], dtype=np.intp)
+        rows = np.array(rows, dtype=np.intp)
+        by_position = np.lexsort((rows, positions))
+        self.score_rows = rows[by_position]
+        self.score_cols = self.cols[by_position]
+        self.score_vals = self.vals[by_position]
         self.y = np.array([1.0 if label == POSITIVE else 0.0 for _, label in data])
 
     def scores(self, w: np.ndarray, bias: float) -> np.ndarray:
         """x @ w + bias, one score per row."""
         import numpy as np
 
-        return np.bincount(self.rows, weights=self.vals * w[self.cols],
+        return np.bincount(self.score_rows, weights=self.score_vals * w[self.score_cols],
                            minlength=len(self.y)) + bias
+
+    def penalty(self, w: np.ndarray, l2: float) -> float:
+        """The l2 term of `loss`."""
+        return 0.5 * l2 * float(w @ w)
 
     def loss(self, w: np.ndarray, scores: np.ndarray, l2: float) -> float:
         import numpy as np
 
         margins = scores * (2.0 * self.y - 1.0)
         data_term = float(np.mean(np.logaddexp(0.0, -margins)))
-        return data_term + 0.5 * l2 * float(w @ w)
+        return data_term + self.penalty(w, l2)
+
+    def loss_is_finite(self, w: np.ndarray, scores: np.ndarray, l2: float) -> bool:
+        """Whether `loss(w, scores, l2)` is finite, computing the loss only
+        when a cheaper bound cannot show that it is.
+
+        The bound: with n rows, every |score| <= 1e300 / n and the penalty
+        <= 1e300. Each term logaddexp(0, -margin) is then in [0, |score| + 1],
+        so the n terms add up to at most 1e300 + n before rounding. `np.mean`
+        sums before it divides, and a sum of n non-negative terms rounds up
+        by a factor below (1 + 2^-53)^n < 2 for any n < 2^52, far more rows
+        than fit in memory. So the sum stays below 2e300 + 2n, the mean below
+        2e300 + 2, and with the penalty, the same value `loss` adds, the loss
+        below about 3e300, short of the largest float (1.8e308). The feature
+        count enters only through the penalty, which is bounded as computed.
+        A NaN fails both comparisons, so NaN and overflow always reach the
+        full loss.
+        """
+        import numpy as np
+
+        if np.abs(scores).max() <= 1e300 / len(self.y) and self.penalty(w, l2) <= 1e300:
+            return True
+        return math.isfinite(self.loss(w, scores, l2))
 
     def gradient(self, w: np.ndarray, scores: np.ndarray, l2: float) -> tuple[np.ndarray, float]:
         import numpy as np
 
         residual = (_logistic(scores) - self.y) / len(self.y)
-        xtr = np.bincount(self.cols, weights=self.vals * residual[self.rows],
+        # row-major entries: row r's residual repeated once per feature of r
+        xtr = np.bincount(self.cols, weights=self.vals * np.repeat(residual, self.row_lengths),
                           minlength=len(self.feature_ids))
         return xtr + l2 * w, float(residual.sum())
 
@@ -176,13 +226,15 @@ def _lr_descend(problem: _LrProblem, learning_rate: float, l2: float,
     with np.errstate(over="ignore", invalid="ignore"):
         scores = problem.scores(w, bias)
         for epoch in range(1, last + 1):
-            # each step's scores serve its loss check and the next step's gradient
+            # each step's scores serve its divergence check and the next
+            # step's gradient; the check computes the full loss only when a
+            # bound on the scores and the penalty cannot prove it finite,
+            # so a divergence is reported at the same epoch as by the loss
             grad_w, grad_b = problem.gradient(w, scores, l2)
             w = w - learning_rate * grad_w
             bias = bias - learning_rate * grad_b
             scores = problem.scores(w, bias)
-            loss = problem.loss(w, scores, l2)
-            if not math.isfinite(loss):
+            if not problem.loss_is_finite(w, scores, l2):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
             if epoch in checkpoints:
                 snapshots[epoch] = (w.copy(), bias)
@@ -220,7 +272,7 @@ def lr_train_checkpoints(data: list[tuple[FeatureVector, str]], learning_rate: f
 
     def model(epochs: int, l2: float) -> LrModel:
         w, bias = snapshots[l2][epochs]
-        return LrModel({f: float(v) for f, v in zip(feature_ids, w) if v != 0.0}, bias)
+        return LrModel({f: v for f, v in zip(feature_ids, w.tolist()) if v != 0.0}, bias)
 
     return starmap(model, product(epoch_grid, l2_grid))
 

@@ -251,10 +251,8 @@ class TestBleu:
         assert report.ref_length == sum(len(r) for _, r in pairs)
 
     @given(short_corpus_st)
-    def test_one_pass_counts_equal_per_order_oracle(self, pairs):
-        correct, total = oracle_counts(pairs)
+    def test_precisions_and_lengths_equal_oracle(self, pairs):
         lengths = (sum(len(h) for h, _ in pairs), sum(len(r) for _, r in pairs))
-        assert _pooled_counts(*sides(pairs)) == (correct, total, *lengths)
         report = bleu(*sides(pairs))
         assert list(report.ngram_precisions) == oracle_precisions(pairs)
         assert (report.hyp_length, report.ref_length) == lengths

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from lexmine.errors import DivergenceError, InputError
 from lexmine.sentiment.models import (
+    LABELS,
     NEGATIVE,
     POSITIVE,
     _logistic,
+    _lr_descend,
     _LrProblem,
     f1_score,
     lr_predict,
@@ -199,6 +202,186 @@ class TestLrArithmetic:
         assert out.tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
+class OracleLrProblem:
+    """`_LrProblem` as it was before `scores` read its entries interleaved
+    across rows: one row-major copy of the entries serves both products,
+    and the residual is gathered by row index."""
+
+    def __init__(self, data):
+        self.feature_ids = sorted({f for features, _ in data for f in features})
+        index = {f: i for i, f in enumerate(self.feature_ids)}
+        rows, cols, vals = [], [], []
+        for row, (features, _) in enumerate(data):
+            for feature, count in sorted(features.items()):
+                rows.append(row)
+                cols.append(index[feature])
+                vals.append(float(count))
+        self.rows = np.array(rows, dtype=np.intp)
+        self.cols = np.array(cols, dtype=np.intp)
+        self.vals = np.array(vals, dtype=np.float64)
+        self.y = np.array([1.0 if label == POSITIVE else 0.0 for _, label in data])
+
+    def scores(self, w, bias):
+        return np.bincount(self.rows, weights=self.vals * w[self.cols],
+                           minlength=len(self.y)) + bias
+
+    def loss(self, w, scores, l2):
+        margins = scores * (2.0 * self.y - 1.0)
+        data_term = float(np.mean(np.logaddexp(0.0, -margins)))
+        return data_term + 0.5 * l2 * float(w @ w)
+
+    def gradient(self, w, scores, l2):
+        residual = (_logistic(scores) - self.y) / len(self.y)
+        xtr = np.bincount(self.cols, weights=self.vals * residual[self.rows],
+                          minlength=len(self.feature_ids))
+        return xtr + l2 * w, float(residual.sum())
+
+
+def oracle_lr_descend(problem, learning_rate, l2, checkpoints):
+    """`_lr_descend` as it was before the divergence check could skip the
+    full loss: the loss is computed at every epoch."""
+    w = np.zeros(len(problem.feature_ids))
+    bias = 0.0
+    snapshots = {}
+    last = max(checkpoints)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = problem.scores(w, bias)
+        for epoch in range(1, last + 1):
+            grad_w, grad_b = problem.gradient(w, scores, l2)
+            w = w - learning_rate * grad_w
+            bias = bias - learning_rate * grad_b
+            scores = problem.scores(w, bias)
+            loss = problem.loss(w, scores, l2)
+            if not math.isfinite(loss):
+                raise DivergenceError(f"non-finite loss at epoch {epoch}")
+            if epoch in checkpoints:
+                snapshots[epoch] = (w.copy(), bias)
+    return snapshots
+
+
+def descend_outcome(descend, problem, learning_rate, l2, checkpoints):
+    """Each snapshot as (weight bytes, bias), or the divergence message."""
+    try:
+        snapshots = descend(problem, learning_rate, l2, checkpoints)
+    except DivergenceError as err:
+        return str(err)
+    return {epoch: (w.tobytes(), bias) for epoch, (w, bias) in snapshots.items()}
+
+
+def assert_descent_equals_oracle(data, learning_rate, l2, checkpoints):
+    outcome = descend_outcome(_lr_descend, _LrProblem(data), learning_rate, l2, checkpoints)
+    assert outcome == descend_outcome(oracle_lr_descend, OracleLrProblem(data),
+                                      learning_rate, l2, checkpoints)
+    return outcome
+
+
+# rows of unequal length, some empty, over more features than a row holds
+wide_features_st = st.dictionaries(st.sampled_from([f"w{i:02d}" for i in range(24)]),
+                                   st.integers(1, 9), max_size=12)
+wide_rows_st = st.lists(st.tuples(wide_features_st, st.sampled_from(LABELS)),
+                        min_size=2, max_size=20).filter(
+                            lambda rows: {label for _, label in rows} == set(LABELS))
+
+
+class TestLrDescentOracle:
+    """The descent's snapshots equal the oracle's by their bytes, and a
+    diverging descent fails with the oracle's message."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=wide_rows_st,
+           learning_rate=st.sampled_from([0.05, 0.5, 4.0, 1e160]),
+           l2=st.sampled_from([0.0, 0.01, 0.3, 1e308, math.inf]),
+           checkpoints=st.sets(st.integers(1, 12), min_size=1, max_size=4))
+    def test_snapshots_equal_oracle(self, rows, learning_rate, l2, checkpoints):
+        assert_descent_equals_oracle(rows, learning_rate, l2, checkpoints)
+
+    def test_large_problem_equals_oracle(self):
+        # more rows and features than hypothesis draws, so many bins share
+        # each stretch of the interleaved entries
+        rng = random.Random(24)
+        features = [f"f{i:03d}" for i in range(300)]
+        data = [({f: rng.randint(1, 4) for f in rng.sample(features, rng.randint(0, 40))},
+                 LABELS[row % 2]) for row in range(120)]
+        assert sorted(assert_descent_equals_oracle(data, 0.1, 0.01, {1, 7, 30})) == [1, 7, 30]
+
+    def test_scores_overflow_with_finite_loss_trains(self):
+        # every score is +-inf after the first step, so the bound fails, but
+        # each row sits on its correct side, so the loss is 0 and no error
+        data = [({"f": 10**160}, POSITIVE), ({"g": 10**160}, NEGATIVE)]
+        outcome = assert_descent_equals_oracle(data, 1e-10, 0.0, {1, 3})
+        assert sorted(outcome) == [1, 3]
+        problem = _LrProblem(data)
+        w = np.frombuffer(outcome[3][0])
+        with np.errstate(over="ignore"):
+            assert problem.scores(w, outcome[3][1]).tolist() == [math.inf, -math.inf]
+
+
+def guard_problem(n_rows):
+    """A problem of `n_rows` rows and the largest |score| the bound accepts."""
+    data = [({"f": 1}, LABELS[row % 2]) for row in range(n_rows)]
+    return _LrProblem(data), 1e300 / n_rows
+
+
+class TestLrLossGuard:
+    """`loss_is_finite` answers as the full loss would, and skips that loss
+    only inside its bound."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        loss = _LrProblem.loss
+
+        def counting_loss(problem, *args):
+            calls.append(args)
+            return loss(problem, *args)
+
+        monkeypatch.setattr(_LrProblem, "loss", counting_loss)
+        return calls
+
+    @pytest.mark.parametrize("n_rows", [2, 5, 1000])
+    def test_score_bound_scales_with_rows(self, counted, n_rows):
+        problem, bound = guard_problem(n_rows)
+        w = np.zeros(1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            at = np.full(n_rows, -bound)
+            assert problem.loss_is_finite(w, at, 0.0)
+            assert counted == []
+            above = at.copy()
+            above[-1] = -np.nextafter(bound, math.inf)
+            assert problem.loss_is_finite(w, above, 0.0)
+            assert len(counted) == 1
+            # every margin -1e308 for the positive rows: the sum overflows
+            worst = np.where(problem.y == 1.0, -1e308, 1e308)
+            assert not problem.loss_is_finite(w, worst, 0.0)
+            assert not math.isfinite(problem.loss(w, worst, 0.0))
+
+    def test_penalty_bound(self, counted):
+        problem, _ = guard_problem(2)
+        w = np.array([1.0])
+        scores = np.zeros(2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert problem.penalty(w, 2e300) == 1e300
+            assert problem.loss_is_finite(w, scores, 2e300)
+            assert counted == []
+            assert problem.loss_is_finite(w, scores, np.nextafter(2e300, math.inf))
+            assert len(counted) == 1
+            assert not problem.loss_is_finite(w, scores, math.inf)
+            assert not problem.loss_is_finite(np.array([math.inf]), scores, 0.0)
+            assert not problem.loss_is_finite(w, np.array([0.0, math.nan]), 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scores=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=2,
+                           max_size=6),
+           w=st.floats(allow_nan=True, allow_infinity=True),
+           l2=st.one_of(st.floats(0.0, allow_infinity=True), st.just(2e300)))
+    def test_equals_full_loss(self, scores, w, l2):
+        problem, _ = guard_problem(len(scores))
+        w, scores = np.array([w]), np.array(scores)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert problem.loss_is_finite(w, scores, l2) == math.isfinite(
+                problem.loss(w, scores, l2))
+
+
 class TestLrTraining:
     def test_separates_toy_data(self):
         data = [({"up": 2}, POSITIVE), ({"up": 1, "down": 1}, POSITIVE),
@@ -238,13 +421,18 @@ class TestLrTraining:
         assert norm(ridged) < norm(plain)
 
     def test_divergence_is_reported(self):
-        # the absurd step size overflows the penalty term, which is exactly
-        # the non-finite loss the trainer must turn into an error; the
-        # descents run before the call returns, so the call itself raises
-        data = [({"f": 1}, POSITIVE), ({"g": 1}, NEGATIVE)]
-        with pytest.raises(DivergenceError) as err:
-            lr_train_checkpoints(data, 1e160, [5], [1.0])
-        assert "epoch" in str(err.value)
+        # the descents run before the call returns, so the call itself
+        # raises; each epoch is the one the loss at every epoch reported
+        for count, learning_rate, l2, epoch in [
+            (1, 0.1, 1e308, 2),      # the penalty's w @ w overflows at the second step
+            (1, 0.1, math.inf, 1),   # inf * 0 makes the first step's weights NaN
+            (1, 1e160, 1.0, 1),      # the step overflows the penalty
+            (10**6, 1e300, 0.0, 1),  # the step times the counts overflows the scores
+        ]:
+            data = [({"f": count}, POSITIVE), ({"g": count}, NEGATIVE)]
+            with pytest.raises(DivergenceError, match=rf"^non-finite loss at epoch {epoch}$"):
+                lr_train_checkpoints(data, learning_rate, [5], [l2])
+            assert_descent_equals_oracle(data, learning_rate, l2, {5})
 
     def test_score_tie_predicts_negative(self):
         model = train(LR_TOY, 0.1, 1, 0.0)
