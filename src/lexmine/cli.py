@@ -151,11 +151,9 @@ def _parse_direction(raw: str) -> tuple[str, str]:
     return (parts[0].strip(), parts[1].strip())
 
 
-# argparse dests of the flags that name files a command reads, and writes: the
-# manifest records exactly these files, and `_check_outputs` guards them
-_INPUT_FLAGS = ("in_path", "dict", "lexicon", "src", "tgt", "hyp", "ref", "corpus",
-                "side_a", "side_b", "scores_a", "scores_b", "data", "config")
-_OUTPUT_FLAGS = ("out", "summary", "manifest")
+def _given(args, dests) -> list[str]:
+    """The paths given to the flags `dests` of the running command."""
+    return [getattr(args, dest) for dest in dests if getattr(args, dest)]
 
 
 def _check_outputs(args) -> None:
@@ -164,16 +162,17 @@ def _check_outputs(args) -> None:
     run reads, and the manifest would record the output's digest as the
     input's; and two outputs, the timing sidecar included, naming one file,
     of which only the last written would survive. Outputs may not exist
-    yet, so they are compared by their resolved paths."""
-    inputs = [getattr(args, dest, None) for dest in _INPUT_FLAGS]
-    outputs = [(f"--{dest}", getattr(args, dest)) for dest in _OUTPUT_FLAGS
-               if getattr(args, dest, None)]
-    outputs.append(("timing sidecar", timing_path_for(args.manifest)))
+    yet, so they are compared by their resolved paths. The files are the
+    ones the command declared with `_file_flags`, then --manifest."""
+    outputs = [(f"--{dest}", getattr(args, dest)) for dest in args.outputs
+               if getattr(args, dest)]
+    outputs += [("--manifest", args.manifest),
+                ("timing sidecar", timing_path_for(args.manifest))]
     claimed = {}
     for name, out in outputs:
         if os.path.exists(out):
-            for path in inputs:
-                if path and os.path.exists(path) and os.path.samefile(out, path):
+            for path in _given(args, args.inputs):
+                if os.path.exists(path) and os.path.samefile(out, path):
                     raise ConfigError(f"{name} {out} is the same file as input {path}")
         if os.path.isdir(out):
             raise InputError(f"cannot write {out}: {os.strerror(errno.EISDIR)}")
@@ -426,6 +425,24 @@ def _cmd_sent_cv(args) -> tuple[dict, dict]:
 
 # -- parser --------------------------------------------------------------------
 
+def _file_flags(parser, files) -> None:
+    """Add to `parser` a flag for each (flag, role, help) of `files`, and
+    record its dest among the files the command reads (role "in") or writes
+    ("out"); a role ending in "?" makes the flag optional. The manifest and
+    `_check_outputs` take exactly these files."""
+    inputs = parser.get_default("inputs") or ()
+    outputs = parser.get_default("outputs") or ()
+    for flag, role, help_text in files:
+        # `in` is a keyword, so --in cannot keep its own dest
+        dest = parser.add_argument(flag, dest="in_path" if flag == "--in" else None,
+                                   required=not role.endswith("?"), help=help_text).dest
+        if role.startswith("in"):
+            inputs += (dest,)
+        else:
+            outputs += (dest,)
+    parser.set_defaults(inputs=inputs, outputs=outputs)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=PROG,
@@ -435,11 +452,12 @@ def _build_parser() -> argparse.ArgumentParser:
     groups = parser.add_subparsers(dest="group", required=True, metavar="command")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value settings file")
+    _file_flags(common, [("--config", "in?", "key=value settings file")])
     common.add_argument("--manifest", help="manifest output path")
 
-    def leaf(subparsers, name, handler, help_text, settings=()):
-        """A command parser that resolves `settings`, with their flags."""
+    def leaf(subparsers, name, handler, help_text, settings=(), files=()):
+        """A command parser that resolves `settings`, with their flags, and
+        takes the file flags `files`."""
         sub = subparsers.add_parser(name, parents=[common], help=help_text)
         for key in settings:
             conv, default, flag_help = _SETTINGS[key]
@@ -453,99 +471,81 @@ def _build_parser() -> argparse.ArgumentParser:
                 shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
                 sub.add_argument(flag, dest=key, type=conv if conv in (int, float) else None,
                                  help=f"{flag_help} (default {shown})")
+        _file_flags(sub, files)
         sub.set_defaults(handler=handler, settings=settings)
         return sub
 
+    report = ("--out", "out?", "JSON report (default: stdout)")
+
     dict_group = groups.add_parser("dict", help="bilingual dictionary tools")
     dict_subs = dict_group.add_subparsers(dest="sub", required=True, metavar="action")
-    sub = leaf(dict_subs, "build", _cmd_dict_build, "normalize a raw dictionary TSV",
-               ("direction",))
-    sub.add_argument("--in", dest="in_path", required=True, help="raw dictionary TSV")
-    sub.add_argument("--out", required=True, help="canonical dictionary TSV")
-    sub = leaf(dict_subs, "filter", _cmd_dict_filter,
-               "drop translations missing from a lexicon")
-    sub.add_argument("--dict", required=True, help="dictionary TSV")
-    sub.add_argument("--lexicon", required=True, help="one registered word per line")
-    sub.add_argument("--out", required=True)
-    sub = leaf(dict_subs, "invert", _cmd_dict_invert, "swap source and target sides")
-    sub.add_argument("--dict", required=True)
-    sub.add_argument("--out", required=True)
-    sub = leaf(dict_subs, "stats", _cmd_dict_stats, "entry counts and identity overlap")
-    sub.add_argument("--dict", required=True)
-    sub.add_argument("--out", help="JSON output (default: stdout)")
+    leaf(dict_subs, "build", _cmd_dict_build, "normalize a raw dictionary TSV", ("direction",),
+         [("--in", "in", "raw dictionary TSV"), ("--out", "out", "canonical dictionary TSV")])
+    leaf(dict_subs, "filter", _cmd_dict_filter, "drop translations missing from a lexicon",
+         files=[("--dict", "in", "dictionary TSV"),
+                ("--lexicon", "in", "one registered word per line"), ("--out", "out", None)])
+    leaf(dict_subs, "invert", _cmd_dict_invert, "swap source and target sides",
+         files=[("--dict", "in", None), ("--out", "out", None)])
+    leaf(dict_subs, "stats", _cmd_dict_stats, "entry counts and identity overlap",
+         files=[("--dict", "in", None), ("--out", "out?", "JSON output (default: stdout)")])
 
-    sub = leaf(groups, "w2w", _cmd_w2w, "word-for-word translation, one sentence per line",
-               ("max_len",))
-    sub.add_argument("--dict", required=True)
-    sub.add_argument("--in", dest="in_path", required=True, help="input sentences")
-    sub.add_argument("--out", required=True, help="translated sentences")
-    sub.add_argument("--summary", help="OOV summary JSON (default: <out>.oov.json)")
+    leaf(groups, "w2w", _cmd_w2w, "word-for-word translation, one sentence per line",
+         ("max_len",), [("--dict", "in", None), ("--in", "in", "input sentences"),
+                        ("--out", "out", "translated sentences"),
+                        ("--summary", "out?", "OOV summary JSON (default: <out>.oov.json)")])
 
     mine_group = groups.add_parser("mine", help="parallel corpus construction")
     mine_subs = mine_group.add_subparsers(dest="sub", required=True, metavar="stage")
+    mining_files = [("--src", "in", "source documents JSONL"),
+                    ("--tgt", "in", "target documents JSONL"),
+                    ("--dict", "in", "source->target dictionary TSV"),
+                    ("--out", "out", "corpus TSV")]
 
-    def mining_flags(sub):
-        sub.add_argument("--src", required=True, help="source documents JSONL")
-        sub.add_argument("--tgt", required=True, help="target documents JSONL")
-        sub.add_argument("--dict", required=True, help="source->target dictionary TSV")
-        sub.add_argument("--out", required=True, help="corpus TSV")
+    def pairing_flags(sub):
         pairing = sub.add_mutually_exclusive_group()
         pairing.add_argument("--one-to-one", dest="one_to_one", action="store_true",
                              default=None, help="unique targets per document (default)")
         pairing.add_argument("--many-to-one", dest="one_to_one", action="store_false",
                              default=None, help="allow target sentence reuse")
 
-    sub = leaf(mine_subs, "docs", _cmd_mine_docs, "pair documents by normalized title")
-    sub.add_argument("--src", required=True)
-    sub.add_argument("--tgt", required=True)
-    sub.add_argument("--out", required=True, help="TSV: src_id, tgt_id, title")
-    mining_flags(leaf(mine_subs, "sents", _cmd_mine_sents, "align sentences (no trigram filter)",
-                      ("threshold", "one_to_one")))
-    sub = leaf(mine_subs, "filter", _cmd_mine_filter,
-               "apply the trigram diversity filter to a corpus TSV",
-               ("trigram_top", "trigram_cap"))
-    sub.add_argument("--in", dest="in_path", required=True, help="corpus TSV")
-    sub.add_argument("--out", required=True)
-    mining_flags(leaf(mine_subs, "all", _cmd_mine_all, "full pipeline: pair, align, filter",
-                      ("threshold", "trigram_top", "trigram_cap", "one_to_one")))
+    leaf(mine_subs, "docs", _cmd_mine_docs, "pair documents by normalized title",
+         files=[("--src", "in", None), ("--tgt", "in", None),
+                ("--out", "out", "TSV: src_id, tgt_id, title")])
+    pairing_flags(leaf(mine_subs, "sents", _cmd_mine_sents, "align sentences (no trigram filter)",
+                       ("threshold", "one_to_one"), mining_files))
+    leaf(mine_subs, "filter", _cmd_mine_filter,
+         "apply the trigram diversity filter to a corpus TSV", ("trigram_top", "trigram_cap"),
+         [("--in", "in", "corpus TSV"), ("--out", "out", None)])
+    pairing_flags(leaf(mine_subs, "all", _cmd_mine_all, "full pipeline: pair, align, filter",
+                       ("threshold", "trigram_top", "trigram_cap", "one_to_one"), mining_files))
 
     eval_group = groups.add_parser("eval", help="metrics over line-aligned files")
     eval_subs = eval_group.add_subparsers(dest="sub", required=True, metavar="metric")
-    sub = leaf(eval_subs, "bleu", _cmd_eval_bleu, "corpus-level BLEU",
-               ("lowercase", "no_tokenize"))
-    sub.add_argument("--hyp", required=True, help="hypothesis file, one segment per line")
-    sub.add_argument("--ref", required=True, help="reference file, line-aligned")
-    sub.add_argument("--out", help="JSON report (default: stdout)")
-    sub = leaf(eval_subs, "rouge", _cmd_eval_rouge, "mean ROUGE-1 F1", ("lowercase",))
-    sub.add_argument("--hyp", required=True)
-    sub.add_argument("--ref", required=True)
-    sub.add_argument("--out", help="JSON report (default: stdout)")
-    sub = leaf(eval_subs, "stats", _cmd_eval_stats,
-               "descriptive statistics of a parallel corpus")
-    sub.add_argument("--corpus", help="corpus TSV from mine")
-    sub.add_argument("--side-a", dest="side_a", help="sentences, one per line")
-    sub.add_argument("--side-b", dest="side_b", help="sentences, one per line")
-    sub.add_argument("--out", help="JSON report (default: stdout)")
-    sub = leaf(eval_subs, "judge", _cmd_eval_judge, "aggregate two annotators' 1-5 scores")
-    sub.add_argument("--scores-a", dest="scores_a", required=True)
-    sub.add_argument("--scores-b", dest="scores_b", required=True)
-    sub.add_argument("--out", help="JSON report (default: stdout)")
+    leaf(eval_subs, "bleu", _cmd_eval_bleu, "corpus-level BLEU", ("lowercase", "no_tokenize"),
+         [("--hyp", "in", "hypothesis file, one segment per line"),
+          ("--ref", "in", "reference file, line-aligned"), report])
+    leaf(eval_subs, "rouge", _cmd_eval_rouge, "mean ROUGE-1 F1", ("lowercase",),
+         [("--hyp", "in", None), ("--ref", "in", None), report])
+    leaf(eval_subs, "stats", _cmd_eval_stats, "descriptive statistics of a parallel corpus",
+         files=[("--corpus", "in?", "corpus TSV from mine"),
+                ("--side-a", "in?", "sentences, one per line"),
+                ("--side-b", "in?", "sentences, one per line"), report])
+    leaf(eval_subs, "judge", _cmd_eval_judge, "aggregate two annotators' 1-5 scores",
+         files=[("--scores-a", "in", None), ("--scores-b", "in", None), report])
 
     sent_group = groups.add_parser("sent", help="sentiment classification harness")
     sent_subs = sent_group.add_subparsers(dest="sub", required=True, metavar="action")
-    sub = leaf(sent_subs, "bpe", _cmd_sent_bpe, "learn a subword merge table", ("vocab_size",))
-    sub.add_argument("--in", dest="in_path", required=True, help="training text")
-    sub.add_argument("--out", required=True, help="model JSON")
+    leaf(sent_subs, "bpe", _cmd_sent_bpe, "learn a subword merge table", ("vocab_size",),
+         [("--in", "in", "training text"), ("--out", "out", "model JSON")])
     sub = leaf(sent_subs, "cv", _cmd_sent_cv, "stratified k-fold cross-validation",
                ("algorithm", "folds", "ratios", "seed", "vocab_size", "nb_alpha_grid",
-                "lr_epoch_grid", "lr_l2_grid", "lr_learning_rate"))
-    sub.add_argument("--data", required=True,
-                     help="TSV: label, src text, optional tgt text")
+                "lr_epoch_grid", "lr_l2_grid", "lr_learning_rate"),
+               [("--data", "in", "TSV: label, src text, optional tgt text")])
     sub.add_argument("--mode", required=True, choices=MODES)
     sub.add_argument("--algorithm", choices=["nb", "lr"],
                      help=f"classifier (default {CvConfig.algorithm})")
-    sub.add_argument("--dict", help="tgt->src dictionary TSV (needed for test-w2w)")
-    sub.add_argument("--out", help="JSON report (default: stdout)")
+    _file_flags(sub, [("--dict", "in?", "tgt->src dictionary TSV (needed for test-w2w)"),
+                      report])
 
     return parser
 
@@ -554,8 +554,8 @@ def run(argv) -> int:
     """Run one command and record it.
 
     The handler returns the settings it applied and its counts; the
-    manifest adds the files named by the `_INPUT_FLAGS` and `--out` and
-    `--summary`. It goes to --manifest, else next to --out, else to
+    manifest adds the files given to the flags that the command declared
+    with `_file_flags`. It goes to --manifest, else next to --out, else to
     `lexmine-<command>.manifest.json` in the working directory, and its
     timing sidecar next to it. Every output path is checked before the
     command writes anything.
@@ -585,9 +585,8 @@ def run(argv) -> int:
         config, counts = args.handler(args)
         write_manifest(
             args.manifest, slug.replace("-", " "), config,
-            inputs=[getattr(args, dest) for dest in _INPUT_FLAGS if getattr(args, dest, None)],
-            counts=counts,
-            outputs=[path for path in (args.out, getattr(args, "summary", None)) if path],
+            inputs=_given(args, args.inputs), counts=counts,
+            outputs=_given(args, args.outputs),
             timing={"total_s": round(time.perf_counter() - started, 6)})
         return 0
     except LexmineError as exc:

@@ -59,8 +59,6 @@ class RougeScore:
     recall: float
     f1: float
     overlap_count: int
-    candidate_count: int
-    reference_count: int
 
 
 def rouge1_f1(candidate: list[Token], reference: list[Token]) -> RougeScore:
@@ -71,7 +69,7 @@ def rouge1_f1(candidate: list[Token], reference: list[Token]) -> RougeScore:
     # 2PR/(P+R) as one correctly rounded division: equal fractions give
     # equal floats, so exact score ties stay ties
     f1 = 2 * overlap / (len(candidate) + len(reference)) if overlap else 0.0
-    return RougeScore(precision, recall, f1, overlap, len(candidate), len(reference))
+    return RougeScore(precision, recall, f1, overlap)
 
 
 @dataclass(frozen=True)

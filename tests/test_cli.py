@@ -935,15 +935,38 @@ class TestRecordSchema:
         assert set(manifest) == envelope
         assert set(manifest["config"]) == config_keys
         assert set(manifest["counts"]) == counts_keys
-        # exactly the files the command was given to read, and the ones it wrote
-        assert set(manifest["inputs"]) == {value for flag, value in zip(argv, argv[1:])
-                                           if flag in INPUT_OPTIONS}
         out = str(tmp_path / "out")
-        assert manifest["outputs"] == ([out, out + ".oov.json"] if command == "w2w" else [out])
+        assert_files(manifest, argv,
+                     [out, out + ".oov.json"] if command == "w2w" else [out])
         if report_paths is not None:
             report = tmp_path / ("out.oov.json" if command == "w2w" else "out")
             assert key_paths(json.loads(report.read_text())) == report_paths
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["eval stats", "sent cv", "w2w"])
+    def test_optional_files(self, tmp_path, capsys, command):
+        # the optional file flags that `command_argv` leaves out
+        text = write(tmp_path / "text.txt", POEM + "\n")
+        _, _, d = identity_docs(tmp_path)
+        out, summary = str(tmp_path / "out"), str(tmp_path / "summary.json")
+        argv = {
+            "eval stats": ["eval", "stats", "--side-a", text,
+                           "--side-b", write(tmp_path / "b.txt", "Satu dua.\n")],
+            "sent cv": ["sent", "cv", "--data", cv_data(tmp_path), "--mode", "train-src/test-w2w",
+                        "--dict", d, "--vocab-size", "120"],
+            "w2w": ["w2w", "--dict", d, "--in", text, "--summary", summary],
+        }[command] + ["--out", out]
+        assert run(argv) == 0
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        assert_files(manifest, argv, [out, summary] if command == "w2w" else [out])
+        capsys.readouterr()
+
+
+def assert_files(manifest, argv, outputs):
+    # exactly the files the command was given to read, and the ones it wrote
+    assert set(manifest["inputs"]) == {value for flag, value in zip(argv, argv[1:])
+                                       if flag in INPUT_OPTIONS}
+    assert manifest["outputs"] == outputs
 
 
 # inputs on which adding floats left to right and the compensated builtin
@@ -1386,10 +1409,11 @@ class TestOutputPaths:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.tsv"]
 
 
-# argparse dests of the flags that name no file: the settings with a generated
-# flag, the two with a hand-written one, and --mode
+# argparse dests of the flags that are no declared file: the settings with a
+# generated flag, the two with a hand-written one, --mode, and --manifest,
+# which `run` defaults and guards itself
 SETTING_DESTS = {key for key, (_, _, flag_help) in cli._SETTINGS.items() if flag_help} | {
-    "one_to_one", "algorithm", "mode"}
+    "one_to_one", "algorithm", "mode", "manifest"}
 
 
 def leaf_parsers(parser, names=()):
@@ -1403,17 +1427,17 @@ def leaf_parsers(parser, names=()):
 
 
 def test_every_flag_is_classified():
-    # a file flag missing from the tables would get no overwrite refusal, no
-    # up-front output check and no manifest digest
+    # a file flag that its command does not declare would get no overwrite
+    # refusal, no up-front output check and no manifest digest
     leaves = dict(leaf_parsers(cli._build_parser()))
     assert sorted(leaves) == sorted(COMMANDS)
-    files = set(cli._INPUT_FLAGS) | set(cli._OUTPUT_FLAGS)
-    dests = {(command, action.dest) for command, sub in leaves.items()
-             for action in sub._actions if action.option_strings and action.dest != "help"}
-    assert {(command, dest) for command, dest in dests
-            if dest not in files | SETTING_DESTS} == set()
-    # and no table names a flag that no command has
-    assert {dest for _, dest in dests} == files | SETTING_DESTS
+    for command, sub in leaves.items():
+        dests = {action.dest for action in sub._actions
+                 if action.option_strings and action.dest != "help"}
+        assert dests - SETTING_DESTS == {*sub.get_default("inputs"),
+                                         *sub.get_default("outputs")}, command
+    # and no setting dest is left over from a flag that no command has
+    assert {action.dest for sub in leaves.values() for action in sub._actions} >= SETTING_DESTS
 
 
 def test_every_help_renders():
