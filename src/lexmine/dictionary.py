@@ -38,7 +38,11 @@ def _check_single_word(field: str, path, line_no: int) -> str:
 
 def parse_dictionary(lines, direction: tuple[str, str] = ("src", "tgt"),
                      path: str = "<memory>") -> BilingualDictionary:
-    """Parse dictionary rows; duplicate sources merge with target dedup."""
+    """Parse dictionary rows; duplicate sources merge with target dedup.
+
+    A word in either column may not hold `|` or start with `#`: written
+    back after `invert`, `|` would split it into two targets and a leading
+    `#` would make its line a comment."""
     entries: dict[str, list[str]] = {}
     for line_no, line in content_lines(lines):
         columns = line.split("\t")
@@ -48,6 +52,11 @@ def parse_dictionary(lines, direction: tuple[str, str] = ("src", "tgt"),
         source = _check_single_word(columns[0], path, line_no)
         targets = [_check_single_word(t, path, line_no)
                    for t in columns[1].split("|")]
+        if "|" in source or "#" in line:  # rare: test each word
+            for word in (source, *targets):
+                if "|" in word or word.startswith("#"):
+                    raise ParseError(path, line_no,
+                                     f"word holds '|' or starts with '#': {word!r}")
         known = entries.setdefault(source, [])
         for t in targets:
             if t not in known:

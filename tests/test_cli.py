@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -21,6 +22,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import lexmine
 from lexmine import cli
 from lexmine.cli import run
+from lexmine.dictionary import filter_by_lexicon, invert, load_dictionary, load_lexicon
+from lexmine.errors import ParseError
 from lexmine.metrics import bleu
 from lexmine.textproc import normalize
 
@@ -133,6 +136,96 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"lexmine: {d}: No such file or directory\n"
 
 
+@contextlib.contextmanager
+def collector(enabled):
+    """The cyclic garbage collector switched on or off, then as it was."""
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+class TestCollectorState:
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("case, status", [("success", 0), ("lexmine error", 1),
+                                              ("os error", 1), ("usage error", 2)])
+    def test_run_restores_the_callers_collector(self, tmp_path, capsys, monkeypatch,
+                                                 enabled, case, status):
+        # the collector is paused while the command works, and left as the
+        # caller had it on every way out of `run`
+        paused = []
+
+        def recording_load(*args, **kwargs):
+            paused.append(not gc.isenabled())
+            return load_dictionary(*args, **kwargs)
+
+        def vanished(path):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+
+        monkeypatch.setattr(cli, "load_dictionary", recording_load)
+        d = write(tmp_path / "d.tsv", "broken\n" if case == "lexmine error" else "a\tb\n")
+        if case == "os error":
+            monkeypatch.setattr(lexmine.manifest, "sha256_file", vanished)
+        argv = ["dict", "stats"] + ([] if case == "usage error" else ["--dict", d])
+        with collector(enabled):
+            assert run(argv) == status
+            assert gc.isenabled() == enabled
+        assert paused == ([] if case == "usage error" else [True])
+        capsys.readouterr()
+
+
+def cycle_argv(command, tmp_path, n):
+    """Arguments that run `command` on inputs of about `n` rows, with --out
+    tmp_path/out; `sent cv` names its algorithm as a third word."""
+    tmp_path.mkdir()
+    words = command.split()
+    if command == "mine all":
+        src, tgt, d = identity_docs(tmp_path, n)
+        args = ["--src", src, "--tgt", tgt, "--dict", d, "--trigram-cap", "2"]
+    elif words[0] == "sent":
+        words, algorithm = words[:2], words[2]
+        args = ["--data", cv_data(tmp_path, n), "--mode", "train-tgt/test-tgt",
+                "--vocab-size", "120", "--algorithm", algorithm]
+    else:
+        d = write(tmp_path / "dict.tsv", "".join(f"W{i}\tt{i}|u{i % 5}\n" for i in range(n)))
+        lines = write(tmp_path / "lines.txt", "".join(
+            f"W{i} dua {i}, tiga. Ampek w{i % 7} limo.\n" for i in range(n)))
+        corpus = write(tmp_path / "corpus.tsv", "".join(
+            f"The stub article {i % 3} of the day {i % 50}.\tX y {i}.\t{i / n:.6f}\ts{i}\n"
+            for i in range(n)))
+        args = {"dict build": ["--in", d],
+                "w2w": ["--dict", d, "--in", lines],
+                "mine filter": ["--in", corpus, "--trigram-cap", "2"],
+                "eval bleu": ["--hyp", lines, "--ref", lines],
+                "eval stats": ["--corpus", corpus]}[command]
+    return [*words, *args, "--out", str(tmp_path / "out")]
+
+
+class TestNoReferenceCycles:
+    """`run` pauses the cyclic collector, which is safe only while the data
+    a command builds forms no reference cycles: reference counting frees
+    everything else. So the cyclic garbage one run leaves (argparse's parser,
+    built once per run) must not grow with the input."""
+
+    @pytest.mark.parametrize("command, n", [
+        ("dict build", 40), ("w2w", 40), ("mine filter", 40), ("mine all", 4),
+        ("eval bleu", 40), ("eval stats", 40), ("sent cv nb", 20), ("sent cv lr", 20)])
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, tmp_path, capsys, command, n):
+        def cyclic_garbage(size, name):
+            argv = cycle_argv(command, tmp_path / name, size)
+            gc.collect()
+            assert run(argv) == 0
+            return gc.collect()
+
+        with collector(False):
+            cyclic_garbage(n, "warm-up")  # first imports and caches
+            small, large = cyclic_garbage(n, "small"), cyclic_garbage(10 * n, "large")
+        capsys.readouterr()
+        assert small == large, (small, large)
+
+
 class TestDictCommands:
     def test_build_canonicalizes(self, tmp_path, capsys):
         raw = write(tmp_path / "raw.tsv", "b\ty\na\tx\nb\tz|y\n")
@@ -157,6 +250,13 @@ class TestDictCommands:
             "lexmine: direction must look like src:tgt, got 'a:b:c'\n")
         assert os.listdir(tmp_path) == ["raw.tsv"]
         assert os.listdir() == []
+
+    def test_build_rejects_word_that_cannot_be_written_back(self, tmp_path, capsys):
+        raw = write(tmp_path / "raw.tsv", "x\t#foo\n")
+        assert run(["dict", "build", "--in", raw, "--out", str(tmp_path / "dict.tsv")]) == 1
+        assert capsys.readouterr().err == (
+            f"lexmine: {raw}:1: word holds '|' or starts with '#': '#foo'\n")
+        assert os.listdir(tmp_path) == ["raw.tsv"]
 
     def test_filter(self, tmp_path, capsys):
         d = write(tmp_path / "d.tsv", "a\tx|q\nb\tq\n")
@@ -1313,6 +1413,45 @@ class TestInputRobustness:
             kept = scratch / "kept.tsv"
             assert run(["mine", "filter", "--in", str(sents), "--out", str(kept)]) == 0
             assert kept.read_bytes() == sents.read_bytes()
+
+    dictionary_word_st = st.text(alphabet="aBİß#| ", max_size=4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(st.tuples(dictionary_word_st,
+                                   st.lists(dictionary_word_st, min_size=1, max_size=3)),
+                         min_size=1, max_size=4),
+           lexicon=st.lists(st.text(alphabet="aBİß#|", min_size=1, max_size=3), max_size=4))
+    @example(rows=[("x", ["#foo"])], lexicon=[])
+    @example(rows=[("a|b", ["x"])], lexicon=[])
+    def test_dictionary_chain_reads_back(self, rows, lexicon):
+        # what `dict build`, `dict invert` and `dict filter` write,
+        # `load_dictionary` reads back as the dictionary each one saved; a raw
+        # file that does not parse is refused before anything is written
+        with tempfile.TemporaryDirectory() as scratch:
+            scratch = Path(scratch)
+            raw = write(scratch / "raw.tsv",
+                        "".join(f"{source}\t{'|'.join(targets)}\n" for source, targets in rows))
+            lex = write(scratch / "lex.txt", "".join(f"{word}\n" for word in lexicon))
+            built = scratch / "built.tsv"
+            code = run(["dict", "build", "--in", raw, "--out", str(built)])
+            try:
+                saved = load_dictionary(raw)
+            except ParseError:
+                assert code == 1
+                assert not built.exists()
+                return
+            assert code == 0
+            assert load_dictionary(built).entries == saved.entries
+            inverted = invert(saved)
+            kept = filter_by_lexicon(saved, load_lexicon(lex))
+            chain = [("invert", "built.tsv", "inverted.tsv", inverted),
+                     ("invert", "inverted.tsv", "twice.tsv", invert(inverted)),
+                     ("filter", "built.tsv", "kept.tsv", kept)]
+            for action, source, out, saved in chain:
+                argv = ["dict", action, "--dict", str(scratch / source),
+                        "--out", str(scratch / out)]
+                assert run(argv + (["--lexicon", lex] if action == "filter" else [])) == 0
+                assert load_dictionary(scratch / out).entries == saved.entries, out
 
 
 class TestOutputPaths:

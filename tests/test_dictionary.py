@@ -90,6 +90,17 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_dictionary(["a\tdua kata"])
 
+    @pytest.mark.parametrize("line, word", [("a|b\tx", "a|b"), ("x\t#foo", "#foo"),
+                                            ("x\ty| #Foo", "#foo")])
+    def test_word_that_cannot_be_written_back_rejected(self, line, word):
+        # inverted, `a|b` would read back as two targets and `#foo` as a comment
+        with pytest.raises(ParseError) as err:
+            parse_dictionary(["ok\tfine", line])
+        assert str(err.value) == f"<memory>:2: word holds '|' or starts with '#': {word!r}"
+
+    def test_hash_inside_a_word_allowed(self):
+        assert parse_dictionary(["c#\tx#y"]).entries == {"c#": ["x#y"]}
+
     @given(field_st)
     def test_word_check_equals_oracle(self, field):
         assert outcome(_check_single_word, field) == outcome(oracle_check_single_word, field)
