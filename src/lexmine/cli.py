@@ -79,7 +79,8 @@ def _conv_ints(raw: str) -> tuple[int, ...]:
 # every setting a command can apply: config key -> (converter, default, flag
 # help); `leaf` gives each key with a help a flag --key-with-dashes
 _SETTINGS = {
-    "direction": (str, "src:tgt", "language pair label, e.g. min:id"),
+    "direction": (str, "src:tgt", "language pair label, e.g. min:id; the TSV stores no "
+                  "direction, so only this command's manifest records it"),
     "max_len": (int, 75, "truncate inputs to this many tokens, 0 disables"),
     "threshold": (float, MiningConfig.align_threshold, "minimum alignment score"),
     "trigram_top": (int, MiningConfig.trigram_top_k, "how many frequent trigrams to watch"),
@@ -477,6 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return sub
 
     report = ("--out", "out?", "JSON report (default: stdout)")
+    summary = ("--out", "out?", "JSON report; without it only the summary line is printed")
 
     dict_group = groups.add_parser("dict", help="bilingual dictionary tools")
     dict_subs = dict_group.add_subparsers(dest="sub", required=True, metavar="action")
@@ -524,15 +526,15 @@ def _build_parser() -> argparse.ArgumentParser:
     eval_subs = eval_group.add_subparsers(dest="sub", required=True, metavar="metric")
     leaf(eval_subs, "bleu", _cmd_eval_bleu, "corpus-level BLEU", ("lowercase", "no_tokenize"),
          [("--hyp", "in", "hypothesis file, one segment per line"),
-          ("--ref", "in", "reference file, line-aligned"), report])
+          ("--ref", "in", "reference file, line-aligned"), summary])
     leaf(eval_subs, "rouge", _cmd_eval_rouge, "mean ROUGE-1 F1", ("lowercase",),
-         [("--hyp", "in", None), ("--ref", "in", None), report])
+         [("--hyp", "in", None), ("--ref", "in", None), summary])
     leaf(eval_subs, "stats", _cmd_eval_stats, "descriptive statistics of a parallel corpus",
          files=[("--corpus", "in?", "corpus TSV from mine"),
                 ("--side-a", "in?", "sentences, one per line"),
                 ("--side-b", "in?", "sentences, one per line"), report])
     leaf(eval_subs, "judge", _cmd_eval_judge, "aggregate two annotators' 1-5 scores",
-         files=[("--scores-a", "in", None), ("--scores-b", "in", None), report])
+         files=[("--scores-a", "in", None), ("--scores-b", "in", None), summary])
 
     sent_group = groups.add_parser("sent", help="sentiment classification harness")
     sent_subs = sent_group.add_subparsers(dest="sub", required=True, metavar="action")

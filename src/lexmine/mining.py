@@ -20,7 +20,6 @@ from .manifest import atomic_write_text, read_lines
 from .textproc import is_punctuation, ngrams, normalize, split_sentences, tokenize
 from .w2w import translate_tokens
 
-_TITLE_WS = re.compile(r"\s+")
 _SURROGATE = re.compile("[\ud800-\udfff]")  # only a JSON escape can make one
 
 
@@ -58,7 +57,7 @@ class MiningConfig:
 def normalize_title(title: str) -> str:
     """Lowercase, strip punctuation/symbols, collapse whitespace."""
     kept = "".join(" " if is_punctuation(ch) else ch for ch in title.lower())
-    return _TITLE_WS.sub(" ", kept).strip()
+    return " ".join(kept.split())
 
 
 def align_documents(src_docs: list[Document], tgt_docs: list[Document]
@@ -84,15 +83,14 @@ def align_documents(src_docs: list[Document], tgt_docs: list[Document]
     return pairs
 
 
-def align_sentences(pair: tuple[Document, Document], dictionary: BilingualDictionary,
-                    cfg: MiningConfig, src_sentences: list[str] | None = None
-                    ) -> list[AlignedPair]:
-    """Best-target sentence alignment inside one document pair.
+def align_sentences(src_sentences: list[str], tgt_sentences: list[str], doc_id: str,
+                    dictionary: BilingualDictionary, cfg: MiningConfig) -> list[AlignedPair]:
+    """Best-target alignment of two sentence lists; each pair records `doc_id`.
 
     Each source sentence is translated word-to-word and assigned its
     highest-scoring target sentence by ROUGE-1 F1 over lowercased target
     tokens (ties: earliest target). The scores come from one postings
-    index per document pair, mapping each target word to its
+    index per call, mapping each target word to its
     (target index, count) entries: a source sentence walks only the
     postings of its own word types, summing the clipped overlap
     min(source count, target count) per target, and scores each target as
@@ -100,13 +98,8 @@ def align_sentences(pair: tuple[Document, Document], dictionary: BilingualDictio
     overlap. That is the same float `metrics.rouge1_f1` gives for every
     pair. Pairs below the threshold are dropped; with one_to_one,
     surviving pairs are deduped greedily by descending score so each
-    target is used once. `src_sentences` is the source document already
-    split, when the caller has split it.
+    target is used once.
     """
-    src_doc, tgt_doc = pair
-    if src_sentences is None:
-        src_sentences = split_sentences(src_doc.text)
-    tgt_sentences = split_sentences(tgt_doc.text)
     if not src_sentences or not tgt_sentences:
         return []
 
@@ -146,7 +139,7 @@ def align_sentences(pair: tuple[Document, Document], dictionary: BilingualDictio
         candidates = sorted(kept, key=lambda c: c[1])
 
     return [
-        AlignedPair(src_sentences[i], tgt_sentences[j], score, src_doc.id)
+        AlignedPair(src_sentences[i], tgt_sentences[j], score, doc_id)
         for score, i, j in candidates
     ]
 
@@ -217,18 +210,20 @@ def mine(src_docs: list[Document], tgt_docs: list[Document],
          apply_filter: bool = True) -> tuple[list[AlignedPair], MiningStats]:
     """Full pipeline: title pairing -> sentence alignment -> trigram filter.
 
-    Aligned pairs come out in document-pair order. `apply_filter=False`
-    stops after thresholding.
+    Each paired document is split into sentences once, here. Aligned pairs
+    come out in document-pair order. `apply_filter=False` stops after
+    thresholding.
     """
     stats = MiningStats(source_documents=len(src_docs), target_documents=len(tgt_docs))
     doc_pairs = align_documents(src_docs, tgt_docs)
     stats.document_pairs = len(doc_pairs)
 
     aligned = []
-    for pair in doc_pairs:
-        src_sentences = split_sentences(pair[0].text)
+    for src_doc, tgt_doc in doc_pairs:
+        src_sentences = split_sentences(src_doc.text)
         stats.source_sentences += len(src_sentences)
-        aligned.extend(align_sentences(pair, dictionary, cfg, src_sentences))
+        aligned.extend(align_sentences(src_sentences, split_sentences(tgt_doc.text),
+                                       src_doc.id, dictionary, cfg))
     stats.aligned_pairs = len(aligned)
 
     final = diversity_filter(aligned, cfg) if apply_filter else aligned

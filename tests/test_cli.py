@@ -22,7 +22,13 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import lexmine
 from lexmine import cli
 from lexmine.cli import run
-from lexmine.dictionary import filter_by_lexicon, invert, load_dictionary, load_lexicon
+from lexmine.dictionary import (
+    BilingualDictionary,
+    filter_by_lexicon,
+    invert,
+    load_dictionary,
+    load_lexicon,
+)
 from lexmine.errors import ParseError
 from lexmine.metrics import bleu
 from lexmine.textproc import normalize
@@ -47,13 +53,18 @@ def write_docs(path, rows):
     return write(path, "\n".join(lines) + "\n")
 
 
+def same_text_docs(tmp_path, ids, text):
+    """Source documents with the given ids and target documents paired with
+    them by title, every one holding `text`."""
+    src = write_docs(tmp_path / "src.jsonl", [{"id": doc_id, "title": f"T{i}", "text": text}
+                                              for i, doc_id in enumerate(ids)])
+    tgt = write_docs(tmp_path / "tgt.jsonl", [{"id": f"t{i}", "title": f"t{i}", "text": text}
+                                              for i in range(len(ids))])
+    return src, tgt
+
+
 def identity_docs(tmp_path, n=2, sentences="A b c. C d e."):
-    src = write_docs(tmp_path / "src.jsonl",
-                     [{"id": f"s{i}", "title": f"T{i}", "text": sentences}
-                      for i in range(n)])
-    tgt = write_docs(tmp_path / "tgt.jsonl",
-                     [{"id": f"t{i}", "title": f"t{i}", "text": sentences}
-                      for i in range(n)])
+    src, tgt = same_text_docs(tmp_path, [f"s{i}" for i in range(n)], sentences)
     dictionary = write(tmp_path / "dict.tsv",
                        "a\ta\nb\tb\nc\tc\nd\td\ne\te\n")
     return src, tgt, dictionary
@@ -1283,6 +1294,12 @@ junk_config_st = st.lists(st.tuples(st.sampled_from(SETTING_NAMES), junk_st), ma
     lambda rows: "\n".join(f"{key}={value}" for key, value in rows))
 
 
+def as_saved(dictionary):
+    """The dictionary as a saved file lists it, sources sorted: `invert`
+    orders each word's sources as the file it reads lists them."""
+    return BilingualDictionary(dict(sorted(dictionary.entries.items())))
+
+
 class TestInputRobustness:
     def test_non_utf8_input_is_one_line_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -1396,11 +1413,7 @@ class TestInputRobustness:
         # an id that would break a TSV row is rejected before anything is written
         with tempfile.TemporaryDirectory() as scratch:
             scratch = Path(scratch)
-            docs = [({"id": doc_id, "title": f"T{i}", "text": text},
-                     {"id": f"t{i}", "title": f"t{i}", "text": text})
-                    for i, doc_id in enumerate(ids)]
-            src = write_docs(scratch / "src.jsonl", [s for s, _ in docs])
-            tgt = write_docs(scratch / "tgt.jsonl", [t for _, t in docs])
+            src, tgt = same_text_docs(scratch, ids, text)
             d = write(scratch / "dict.tsv", "a\ta\n")
             sents = scratch / "sents.tsv"
             code = run(["mine", "sents", "--src", src, "--tgt", tgt, "--dict", d,
@@ -1414,6 +1427,59 @@ class TestInputRobustness:
             assert run(["mine", "filter", "--in", str(sents), "--out", str(kept)]) == 0
             assert kept.read_bytes() == sents.read_bytes()
 
+    # whitespace to str.split and split_sentences, and all but \xa0 and
+    # \u3000 line breaks to str.splitlines; a text-mode file breaks on "\n" only
+    odd_space_st = st.sampled_from(list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\xa0\u3000"))
+    corpus_text_st = st.text(alphabet=st.one_of(st.sampled_from(list("aB.! ")), odd_space_st),
+                             max_size=40)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ids=st.lists(st.text(alphabet=st.one_of(st.just("a"), odd_space_st), max_size=4),
+                        min_size=1, max_size=3),
+           text=corpus_text_st, cap=st.integers(1, 3))
+    @example(ids=["a\x85"], text="A a.\u2028 a\x1ca a!", cap=1)
+    def test_mine_all_output_reads_back(self, ids, text, cap):
+        # `mine filter` with every trigram watched keeps all of a `mine all`
+        # corpus, byte for byte, and `eval stats` counts one sentence per row
+        with tempfile.TemporaryDirectory() as scratch:
+            scratch = Path(scratch)
+            src, tgt = same_text_docs(scratch, ids, text)
+            d = write(scratch / "dict.tsv", "a\ta\n")
+            corpus = scratch / "corpus.tsv"
+            filter_flags = ["--trigram-top", "1000", "--trigram-cap", str(cap)]
+            assert run(["mine", "all", "--src", src, "--tgt", tgt, "--dict", d,
+                        "--threshold", "0", *filter_flags, "--out", str(corpus)]) == 0
+            kept = scratch / "kept.tsv"
+            assert run(["mine", "filter", "--in", str(corpus), *filter_flags,
+                        "--out", str(kept)]) == 0
+            assert kept.read_bytes() == corpus.read_bytes()
+            stats = scratch / "stats.json"
+            assert run(["eval", "stats", "--corpus", str(corpus), "--out", str(stats)]) == 0
+            rows = corpus.read_text(encoding="utf-8").count("\n")
+            report = json.loads(stats.read_text(encoding="utf-8"))
+            assert report["side_a"]["sentences"] == report["side_b"]["sentences"] == rows
+
+    @settings(max_examples=40, deadline=None)
+    @given(lines=st.lists(st.text(alphabet=st.one_of(st.sampled_from(list("aB. ")),
+                                                      odd_space_st), max_size=8),
+                          min_size=1, max_size=4))
+    @example(lines=["", "a\u2028B", "\x85"])
+    def test_w2w_output_reads_back_in_eval_bleu(self, lines):
+        # `eval bleu` reads a `w2w` output against the `w2w` input: same
+        # line count, blank lines included
+        with tempfile.TemporaryDirectory() as scratch:
+            scratch = Path(scratch)
+            source = write(scratch / "in.txt", "".join(f"{line}\n" for line in lines))
+            d = write(scratch / "dict.tsv", "a\ta\n")
+            hyp = scratch / "hyp.txt"
+            assert run(["w2w", "--dict", d, "--in", source, "--out", str(hyp)]) == 0
+            report = scratch / "bleu.json"
+            assert run(["eval", "bleu", "--hyp", str(hyp), "--ref", source,
+                        "--out", str(report)]) == 0
+            assert hyp.read_text(encoding="utf-8").count("\n") == len(lines)
+            manifest = json.loads((scratch / "bleu.json.manifest.json").read_text())
+            assert manifest["counts"]["segments"] == len(lines)
+
     dictionary_word_st = st.text(alphabet="aBİß#| ", max_size=4)
 
     @settings(max_examples=40, deadline=None)
@@ -1423,6 +1489,8 @@ class TestInputRobustness:
            lexicon=st.lists(st.text(alphabet="aBİß#|", min_size=1, max_size=3), max_size=4))
     @example(rows=[("x", ["#foo"])], lexicon=[])
     @example(rows=[("a|b", ["x"])], lexicon=[])
+    @example(rows=[("ß", ["B"]), ("B", ["B"])], lexicon=[])
+    @example(rows=[("B", ["BB", "B"])], lexicon=[])
     def test_dictionary_chain_reads_back(self, rows, lexicon):
         # what `dict build`, `dict invert` and `dict filter` write,
         # `load_dictionary` reads back as the dictionary each one saved; a raw
@@ -1442,10 +1510,10 @@ class TestInputRobustness:
                 return
             assert code == 0
             assert load_dictionary(built).entries == saved.entries
-            inverted = invert(saved)
+            inverted = invert(as_saved(saved))
             kept = filter_by_lexicon(saved, load_lexicon(lex))
             chain = [("invert", "built.tsv", "inverted.tsv", inverted),
-                     ("invert", "inverted.tsv", "twice.tsv", invert(inverted)),
+                     ("invert", "inverted.tsv", "twice.tsv", invert(as_saved(inverted))),
                      ("filter", "built.tsv", "kept.tsv", kept)]
             for action, source, out, saved in chain:
                 argv = ["dict", action, "--dict", str(scratch / source),
@@ -1584,6 +1652,25 @@ def test_every_help_renders():
     # in generated help would fail at `--help`, not when the parser is built
     for command, sub in leaf_parsers(cli._build_parser()):
         assert sub.format_help().startswith(f"usage: lexmine {command} "), command
+
+
+OPTIONAL_OUT = [command for command, sub in leaf_parsers(cli._build_parser())
+                if not any(action.required for action in sub._actions
+                           if "--out" in action.option_strings)]
+
+
+@pytest.mark.parametrize("command", OPTIONAL_OUT)
+def test_out_help_says_what_stdout_gets(tmp_path, capsys, command):
+    # without --out a command prints its JSON report when its help says
+    # "default: stdout", and only its one summary line when it does not
+    sub = dict(leaf_parsers(cli._build_parser()))[command]
+    out_help = next(action.help for action in sub._actions if "--out" in action.option_strings)
+    assert run(command_argv(command, tmp_path)[:-2]) == 0
+    printed = capsys.readouterr().out
+    if "default: stdout" in out_help:
+        json.loads(printed)
+    else:
+        assert len(printed.splitlines()) == 1 and printed.endswith("\n"), printed
 
 
 def test_setting_flags_name_their_default():

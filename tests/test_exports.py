@@ -4,6 +4,7 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import lexmine
@@ -31,6 +32,29 @@ def test_tracer_targets_resolve():
         if not callable(getattr(cls, attr, None)):
             missing.append(counter)
     assert missing == []
+
+
+def test_tracer_argument_reads_name_the_parameter():
+    # a hook reads a wrapped call's argument as `_arg(args, kwargs, N, "name")`:
+    # by position N, else by keyword; a parameter renamed or moved would make
+    # the hook read another argument, or fail only when called by keyword
+    tracer = load_tracer()
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    hooked = {hook.__name__: span for span, hook in tracer.HOOKS.items()}
+    reads, params = [], []
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef) or node.name not in hooked:
+            continue
+        module_name, attr = tracer.SPANS[hooked[node.name]]
+        names = list(inspect.signature(
+            getattr(importlib.import_module(module_name), attr)).parameters)
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_arg":
+                position, name = (arg.value for arg in call.args[2:])
+                reads.append((attr, position, name))
+                params.append((attr, position, names[position] if position < len(names) else None))
+    assert reads
+    assert params == reads
 
 
 def public_names(tree) -> list[str]:

@@ -79,25 +79,23 @@ class TestAlignDocuments:
 
 class TestAlignSentences:
     def test_identity_pair_scores_one(self):
-        pair = (Document("s", "T", "A b c."), Document("t", "T", "A b c."))
-        aligned = align_sentences(pair, IDENTITY_DICT, MiningConfig())
+        aligned = align_sentences(["A b c."], ["A b c."], "s", IDENTITY_DICT, MiningConfig())
         assert len(aligned) == 1
         assert aligned[0].score == pytest.approx(1.0)
         assert aligned[0].doc_id == "s"
 
     def test_all_below_threshold_yields_nothing(self):
-        pair = (Document("s", "T", "Q r s."), Document("t", "T", "X y z."))
-        aligned = align_sentences(pair, parse_dictionary(["a\tb"]), MiningConfig())
+        aligned = align_sentences(["Q r s."], ["X y z."], "s",
+                                  parse_dictionary(["a\tb"]), MiningConfig())
         assert aligned == []
 
     def test_recovers_permuted_translations(self):
         words = {f"w{i}{j}": f"v{i}{j}" for i in range(4) for j in range(3)}
         dictionary = parse_dictionary([f"{s}\t{t}" for s, t in words.items()])
-        src_text = " ".join(f"W{i}0 w{i}1 w{i}2." for i in range(4))
+        src = [f"W{i}0 w{i}1 w{i}2." for i in range(4)]
         order = [2, 0, 3, 1]
-        tgt_text = " ".join(f"V{i}0 v{i}1 v{i}2." for i in order)
-        pair = (Document("s", "T", src_text), Document("t", "T", tgt_text))
-        aligned = align_sentences(pair, dictionary, MiningConfig())
+        tgt = [f"V{i}0 v{i}1 v{i}2." for i in order]
+        aligned = align_sentences(src, tgt, "s", dictionary, MiningConfig())
         assert len(aligned) == 4
         # output follows source order and each sentence finds its translation
         for i, ap in enumerate(aligned):
@@ -107,8 +105,7 @@ class TestAlignSentences:
 
     def test_tie_prefers_earliest_target(self):
         # unigram overlap ignores word order, so both targets score 1.0
-        pair = (Document("s", "T", "a b!"), Document("t", "T", "A b! B a!"))
-        aligned = align_sentences(pair, IDENTITY_DICT, MiningConfig())
+        aligned = align_sentences(["a b!"], ["A b!", "B a!"], "s", IDENTITY_DICT, MiningConfig())
         assert len(aligned) == 1
         assert aligned[0].target_sentence == "A b!"
 
@@ -116,43 +113,37 @@ class TestAlignSentences:
         # both targets score exactly 1/3: 2 of 5 source tokens against 7
         # target tokens, and 1 of 5 against 1; F1 computed as 2PR/(P+R)
         # would round the two to different floats
-        pair = (Document("s", "T", "P q r s."), Document("t", "T", "P q v w x y! S"))
-        aligned = align_sentences(pair, parse_dictionary([]),
-                                  MiningConfig(align_threshold=0.3))
+        aligned = align_sentences(["P q r s."], ["P q v w x y!", "S"], "s",
+                                  parse_dictionary([]), MiningConfig(align_threshold=0.3))
         assert [ap.target_sentence for ap in aligned] == ["P q v w x y!"]
         assert aligned[0].score == 1 / 3
 
     def test_one_to_one_keeps_best_per_target(self):
-        pair = (Document("s", "T", "A b c d e. A b c."),
-                Document("t", "T", "A b c d e."))
-        cfg = MiningConfig()
-        aligned = align_sentences(pair, IDENTITY_DICT, cfg)
+        src, tgt = ["A b c d e.", "A b c."], ["A b c d e."]
+        aligned = align_sentences(src, tgt, "s", IDENTITY_DICT, MiningConfig())
         assert len(aligned) == 1
         assert aligned[0].source_sentence == "A b c d e."
 
         relaxed = MiningConfig(one_to_one=False)
-        shared = align_sentences(pair, IDENTITY_DICT, relaxed)
+        shared = align_sentences(src, tgt, "s", IDENTITY_DICT, relaxed)
         assert len(shared) == 2
 
     def test_one_to_one_targets_unique(self):
-        pair = (Document("s", "T", "A b. B a. A a. B b."),
-                Document("t", "T", "A b. B a."))
-        aligned = align_sentences(pair, IDENTITY_DICT, MiningConfig())
+        aligned = align_sentences(["A b.", "B a.", "A a.", "B b."], ["A b.", "B a."], "s",
+                                  IDENTITY_DICT, MiningConfig())
         targets = [ap.target_sentence for ap in aligned]
         assert len(targets) == len(set(targets))
 
     def test_empty_side_yields_nothing(self):
-        pair = (Document("s", "T", ""), Document("t", "T", "A b."))
-        assert align_sentences(pair, IDENTITY_DICT, MiningConfig()) == []
+        assert align_sentences([], ["A b."], "s", IDENTITY_DICT, MiningConfig()) == []
+        assert align_sentences(["A b."], [], "s", IDENTITY_DICT, MiningConfig()) == []
 
 
-def oracle_align(pair, dictionary, cfg):
+def oracle_align(src_sentences, tgt_sentences, dictionary, cfg):
     """The per-pair reference: `rouge1_f1` for every (source, target) pair.
 
     Returns (source text, target text, score) rows.
     """
-    src_sentences = split_sentences(pair[0].text)
-    tgt_sentences = split_sentences(pair[1].text)
     if not src_sentences or not tgt_sentences:
         return []
     tgt_tokens = [normalize(tokenize(s)) for s in tgt_sentences]
@@ -178,39 +169,42 @@ def oracle_align(pair, dictionary, cfg):
 
 
 # few word types, mixed case and a dictionary that merges words, so tokens
-# repeat within and across sentences and scores tie; a capitalized first
-# word lets each sentence split off
+# repeat within and across sentences and scores tie; the lists are drawn
+# directly, so a sentence may be empty, start lowercase or hold a
+# terminator inside, none of which split_sentences produces
 ORACLE_DICT = parse_dictionary(["a\tx", "b\tb", "c\tx", "q\tq"])
-oracle_sentence_st = st.tuples(
-    st.lists(st.sampled_from(["a", "b", "c", "x", "q", "B", "X", "z"]), min_size=1, max_size=6),
-    st.sampled_from([".", "!", "?"]),
-).map(lambda s: " ".join([s[0][0].capitalize(), *s[0][1:]]) + s[1])
-oracle_doc_st = st.lists(oracle_sentence_st, max_size=7).map(" ".join)
-ZERO_OVERLAP_SRC = "Z z? Z z! A b."
-ZERO_OVERLAP_TGT = "X q. B x."
+oracle_sentence_st = st.lists(
+    st.sampled_from(["a", "b", "c", "x", "q", "B", "X", "z", ".", "!", "?", "a.b"]),
+    max_size=6,
+).map(" ".join)
+oracle_sentences_st = st.lists(oracle_sentence_st, max_size=7)
+ZERO_OVERLAP_SRC = ["Z z?", "Z z!", "A b."]
+ZERO_OVERLAP_TGT = ["X q.", "B x."]
 
 
 class TestAlignSentencesOracle:
     @settings(max_examples=300, deadline=None)
-    @given(src=oracle_doc_st, tgt=oracle_doc_st,
+    @given(src=oracle_sentences_st, tgt=oracle_sentences_st,
            threshold=st.sampled_from([0.0, 0.3, 0.5]), one_to_one=st.booleans())
     # threshold 0: the first two source sentences share no token with any
     # target, so both score 0.0 against target 0; under one_to_one the
     # first keeps it and the second loses it
     @example(src=ZERO_OVERLAP_SRC, tgt=ZERO_OVERLAP_TGT, threshold=0.0, one_to_one=True)
     @example(src=ZERO_OVERLAP_SRC, tgt=ZERO_OVERLAP_TGT, threshold=0.0, one_to_one=False)
+    # sentences split_sentences never produces: a lowercase start, an
+    # inner terminator, an empty sentence
+    @example(src=["a b. c", "b ! q"], tgt=["", "x? b", "q b!"], threshold=0.3, one_to_one=True)
     def test_equals_rouge1_loop(self, src, tgt, threshold, one_to_one):
-        pair = (Document("s", "T", src), Document("t", "T", tgt))
         cfg = MiningConfig(align_threshold=threshold, one_to_one=one_to_one)
         got = [(ap.source_sentence, ap.target_sentence, ap.score)
-               for ap in align_sentences(pair, ORACLE_DICT, cfg)]
-        assert got == oracle_align(pair, ORACLE_DICT, cfg)
+               for ap in align_sentences(src, tgt, "s", ORACLE_DICT, cfg)]
+        assert got == oracle_align(src, tgt, ORACLE_DICT, cfg)
         assert all(type(score) is float for _, _, score in got)
 
     def test_zero_overlap_keeps_target_zero_at_threshold_zero(self):
-        pair = (Document("s", "T", ZERO_OVERLAP_SRC), Document("t", "T", ZERO_OVERLAP_TGT))
         got = [(ap.source_sentence, ap.target_sentence, ap.score)
-               for ap in align_sentences(pair, ORACLE_DICT, MiningConfig(align_threshold=0.0))]
+               for ap in align_sentences(ZERO_OVERLAP_SRC, ZERO_OVERLAP_TGT, "s", ORACLE_DICT,
+                                         MiningConfig(align_threshold=0.0))]
         assert got == [("Z z?", "X q.", 0.0), ("A b.", "B x.", 1.0)]
 
 
@@ -388,9 +382,9 @@ class TestMine:
         # profilers wrap mining.align_sentences; mine must call that name
         calls = []
 
-        def recording_align(pair, dictionary, cfg, src_sentences):
-            calls.append(pair[0].id)
-            return align_sentences(pair, dictionary, cfg, src_sentences)
+        def recording_align(src_sentences, tgt_sentences, doc_id, dictionary, cfg):
+            calls.append(doc_id)
+            return align_sentences(src_sentences, tgt_sentences, doc_id, dictionary, cfg)
 
         monkeypatch.setattr(mining, "align_sentences", recording_align)
         src = [Document(f"s{i}", f"T{i}", "A b.") for i in range(3)]
