@@ -87,7 +87,7 @@ _SETTINGS = {
     "trigram_cap": (int, MiningConfig.trigram_cap, "max sentences per watched trigram"),
     "one_to_one": (_conv_bool, MiningConfig.one_to_one, None),  # flag pair in mining_flags
     "lowercase": (_conv_bool, False, "case-insensitive scoring"),
-    "no_tokenize": (_conv_bool, False, "input is pre-tokenized; split on spaces"),
+    "no_tokenize": (_conv_bool, False, "input is pre-tokenized; split on whitespace"),
     "vocab_size": (int, CvConfig.bpe_vocab_size, "BPE vocabulary size"),
     "algorithm": (str, CvConfig.algorithm, None),  # flag with choices in _build_parser
     "folds": (int, CvConfig.folds, "fold count"),

@@ -13,7 +13,7 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 
 from .errors import InputError
 from .textproc import Token, is_punctuation, ngrams, tokenize
@@ -95,8 +95,27 @@ class BleuReport:
 def _pooled_counts(hypotheses, references):
     """Clipped n-gram matches and hypothesis n-gram totals per order, pooled
     over the segment pairs, with the pooled hypothesis and reference lengths.
-    Each order of a segment is clipped by `_clipped_matches`; unigrams are
-    the tokens themselves rather than 1-tuples, which counts the same."""
+    Unigrams are the tokens themselves rather than 1-tuples, which counts
+    the same; they are clipped by `_clipped_matches`.
+
+    Orders 2 and up are read off the diagonals of bigram matches when
+    neither side of a segment repeats a bigram. That is exact:
+    - No n-gram of a higher order repeats on either side either, since two
+      equal n-grams start with equal bigrams. So every n-gram counts at
+      most once per side, and the clipped count of order n is the number
+      of hypothesis positions whose n-gram occurs in the reference.
+    - Each reference bigram has one position. The n-gram at hypothesis
+      position i equals the reference n-gram at position j exactly when
+      hypothesis bigrams i .. i+n-2 equal reference bigrams j .. j+n-2,
+      that is, when their reference positions all exist and each is one
+      more than the one before: a run of n-1 bigrams on one diagonal.
+    So order 2 counts the hypothesis bigrams found in the reference. For
+    order 3, `run[i]` says that bigram i+1 sits one reference position
+    after bigram i. Each next order ands `run` with itself shifted by one,
+    so for order n `run[i]` says that bigrams i .. i+n-2 lie on one
+    diagonal, and the order counts the positions where it holds. Any other
+    segment clips each order with `_clipped_matches`.
+    """
     correct = [0] * BLEU_MAX_ORDER
     total = [0] * BLEU_MAX_ORDER
     hyp_len = ref_len = 0
@@ -110,8 +129,27 @@ def _pooled_counts(hypotheses, references):
         ref_len += len(ref)
         correct[0] += _clipped_matches(hyp, ref)
         total[0] += len(hyp)
-        for n in range(2, min(len(hyp), BLEU_MAX_ORDER) + 1):
-            correct[n - 1] += _clipped_matches(list(ngrams(hyp, n)), list(ngrams(ref, n)))
+        if len(hyp) < 2:
+            continue
+        hyp_bigrams = list(zip(hyp, hyp[1:]))
+        ref_bigrams = list(zip(ref, ref[1:]))
+        position = dict(zip(ref_bigrams, range(len(ref_bigrams))))
+        if len(position) == len(ref_bigrams) and len(set(hyp_bigrams)) == len(hyp_bigrams):
+            # -2 marks a bigram the reference lacks; neither it nor -2 + 1
+            # is a position, so such a bigram is never on a diagonal
+            at = list(map(position.get, hyp_bigrams, repeat(-2)))
+            matches = [len(at) - at.count(-2)]
+            run = list(map(operator.eq, map(operator.add, at, repeat(1)), at[1:]))
+            for n in range(3, min(len(hyp), BLEU_MAX_ORDER) + 1):
+                if n > 3:
+                    run = list(map(operator.and_, run, run[1:]))
+                matches.append(run.count(True))
+        else:
+            matches = [_clipped_matches(hyp_bigrams, ref_bigrams)]
+            for n in range(3, min(len(hyp), BLEU_MAX_ORDER) + 1):
+                matches.append(_clipped_matches(list(ngrams(hyp, n)), list(ngrams(ref, n))))
+        for n, count in enumerate(matches, 2):
+            correct[n - 1] += count
             total[n - 1] += len(hyp) - n + 1
     if hyp_count != ref_count:
         raise InputError(f"hypothesis/reference counts differ: {hyp_count} vs {ref_count}")

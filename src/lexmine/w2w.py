@@ -31,7 +31,8 @@ def translate_tokens(dictionary: BilingualDictionary, tokens: list[Token]) -> Tr
     out: list[Token] = []
     oov = 0
     for token in tokens:
-        if is_punctuation(token):
+        # most tokens are words, and no alphanumeric token is punctuation
+        if not token.isalnum() and is_punctuation(token):
             out.append(token)
             continue
         lowered = token.lower()

@@ -659,6 +659,17 @@ class TestEval:
                     "--no-tokenize"]) == 0
         assert capsys.readouterr().out.strip() != "bleu 100.00"
 
+    def test_bleu_no_tokenize_splits_on_any_whitespace(self, tmp_path, capsys):
+        # a tab and U+2028 (a line separator that does not end a line of the
+        # file) separate tokens just as a space does
+        hyp = write(tmp_path / "h.txt", "satu\tdua\u2028tiga ampek\n")
+        ref = write(tmp_path / "r.txt", "satu dua tiga ampek\n")
+        out = tmp_path / "bleu.json"
+        assert run(["eval", "bleu", "--hyp", hyp, "--ref", ref, "--no-tokenize",
+                    "--out", str(out)]) == 0
+        assert capsys.readouterr().out.strip() == "bleu 100.00"
+        assert json.loads(out.read_text())["hyp_len"] == 4
+
     def test_bleu_line_count_mismatch(self, tmp_path, capsys):
         long = write(tmp_path / "long.txt", "a\nb\n")
         short = write(tmp_path / "short.txt", "a\n")
@@ -1083,12 +1094,30 @@ def assert_files(manifest, argv, outputs):
 # inputs on which adding floats left to right and the compensated builtin
 # sum() of Python 3.12 and later differ in the last bit: every ROUGE mean,
 # and pearson's covariance; the hyp and ref lines also repeat `satu` and
-# `tiga` with different counts on each side, so BLEU clips
+# `tiga` with different counts on each side, so BLEU clips.
+# The diagonal pair gives BLEU segments that repeat no bigram on either
+# side (a run of three bigrams, a run broken and resumed on another
+# diagonal, 1- and 2-token segments) and segments whose hypothesis or
+# reference repeats a bigram.
 DRIFT_FILES = {
     "drift_hyp.txt": "tiga\nlimo tujuah\nsatu anam tiga satu ampek tiga\nsatu\n",
     "drift_ref.txt": "tiga\ntiga anam limo\ntiga\nsatu satu\n",
     "drift_a.txt": "3\n5\n2\n",
     "drift_b.txt": "3\n4\n2\n",
+    "diagonal_hyp.txt": ("satu dua tiga ampek limo anam\n"
+                         "satu dua tiga limo anam tujuah\n"
+                         "dua tiga dua tiga ampek\n"
+                         "limo anam tujuah\n"
+                         "satu dua\n"
+                         "tiga\n"
+                         "ampek limo anam\n"),
+    "diagonal_ref.txt": ("tujuah satu dua tiga ampek salapan anam\n"
+                         "limo anam tujuah sapuluah satu dua tiga\n"
+                         "dua tiga ampek\n"
+                         "limo anam tujuah ampek limo anam\n"
+                         "satu dua\n"
+                         "tiga\n"
+                         "ampek\n"),
 }
 
 # (command, extra flags): each command once, and the eval runs whose flags
@@ -1104,6 +1133,7 @@ GOLDEN_RUNS = [(command, ()) for command in COMMANDS] + [
     ("eval rouge", ("--hyp", "drift_hyp.txt", "--ref", "drift_ref.txt")),
     ("eval judge", ("--scores-a", "drift_a.txt", "--scores-b", "drift_b.txt")),
     ("eval bleu", ("--hyp", "drift_hyp.txt", "--ref", "drift_ref.txt")),
+    ("eval bleu", ("--hyp", "diagonal_hyp.txt", "--ref", "diagonal_ref.txt")),
 ]
 
 
@@ -1266,6 +1296,12 @@ GOLDEN_DIGESTS = {
         "out.manifest.json": "6217f708aefddcd2",
         "stderr": "",
         "stdout": "899556a848e9704f",
+    },
+    "eval bleu --hyp diagonal_hyp.txt --ref diagonal_ref.txt": {
+        "out": "ebc4f01596dab4cf",
+        "out.manifest.json": "5ecd2f954a506f24",
+        "stderr": "",
+        "stdout": "a0e6766e8df4336d",
     },
 }
 

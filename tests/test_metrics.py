@@ -33,18 +33,23 @@ wide_token_st = st.sampled_from([f"w{i}" for i in range(40)])
 
 
 @st.composite
-def wide_pair_st(draw):
+def wide_pair_st(draw, copies=1):
     """A segment pair over 40 tokens, so most segments repeat no n-gram;
-    the reference holds a run of the hypothesis, so n-grams of every order
-    are shared."""
+    the reference holds a run of the hypothesis `copies` times, so n-grams
+    of every order are shared. With two copies the reference repeats each
+    bigram of the run, so long shared runs also take the per-order path."""
     hyp = draw(st.lists(wide_token_st, max_size=12))
     start = draw(st.integers(0, len(hyp)))
     stop = draw(st.integers(start, len(hyp)))
     edge = st.lists(wide_token_st, max_size=4)
-    return hyp, draw(edge) + hyp[start:stop] + draw(edge)
+    ref = draw(edge)
+    for _ in range(copies):
+        ref += hyp[start:stop] + draw(edge)
+    return hyp, ref
 
 
 wide_corpus_st = st.lists(wide_pair_st(), min_size=1, max_size=8)
+twice_corpus_st = st.lists(wide_pair_st(copies=2), min_size=1, max_size=8)
 
 
 class TestRouge1:
@@ -132,6 +137,33 @@ def oracle_pooled_counts(hypotheses, references):
         for gram, count in Counter(chain.from_iterable(ngrams(hyp, n) for n in orders)).items():
             correct[len(gram) - 1] += min(count, ref_counts.get(gram, 0))
         for n in orders:
+            total[n - 1] += len(hyp) - n + 1
+    if hyp_count != ref_count:
+        raise InputError(f"hypothesis/reference counts differ: {hyp_count} vs {ref_count}")
+    if not hyp_count:
+        raise InputError("at least one hypothesis is required")
+    return correct, total, hyp_len, ref_len
+
+
+def oracle_per_order_counts(hypotheses, references):
+    """`_pooled_counts` as it was before the diagonal path: every order of
+    every segment clipped by `_clipped_matches`, over a fresh list of that
+    order's n-grams on each side."""
+    correct = [0] * BLEU_MAX_ORDER
+    total = [0] * BLEU_MAX_ORDER
+    hyp_len = ref_len = 0
+    hyp_count = ref_count = 0
+    for hyp, ref in zip_longest(hypotheses, references):
+        hyp_count += hyp is not None
+        ref_count += ref is not None
+        if hyp is None or ref is None:
+            continue
+        hyp_len += len(hyp)
+        ref_len += len(ref)
+        correct[0] += _clipped_matches(hyp, ref)
+        total[0] += len(hyp)
+        for n in range(2, min(len(hyp), BLEU_MAX_ORDER) + 1):
+            correct[n - 1] += _clipped_matches(list(ngrams(hyp, n)), list(ngrams(ref, n)))
             total[n - 1] += len(hyp) - n + 1
     if hyp_count != ref_count:
         raise InputError(f"hypothesis/reference counts differ: {hyp_count} vs {ref_count}")
@@ -257,14 +289,40 @@ class TestBleu:
         assert list(report.ngram_precisions) == oracle_precisions(pairs)
         assert (report.hyp_length, report.ref_length) == lengths
 
-    @pytest.mark.parametrize("strategy", [corpus_st, short_corpus_st, wide_corpus_st],
-                             ids=["corpus", "short", "wide"])
+    @pytest.mark.parametrize("strategy",
+                             [corpus_st, short_corpus_st, wide_corpus_st, twice_corpus_st],
+                             ids=["corpus", "short", "wide", "twice"])
     @given(data=st.data())
     def test_pooled_counts_equal_both_oracles(self, strategy, data):
         pairs = data.draw(strategy)
         counts = _pooled_counts(*sides(pairs))
+        assert counts == oracle_per_order_counts(*sides(pairs))
         assert counts == oracle_pooled_counts(*sides(pairs))
         assert counts[:2] == oracle_counts(pairs)
+
+    @pytest.mark.parametrize("hyp, ref, correct", [
+        # the reference repeats "a b"; only its first occurrence goes on
+        # to "c" (a map from bigram to position would keep the last one)
+        ("a b c", "a b c x a b", [3, 2, 1, 0]),
+        ("a b a b", "a b c", [2, 1, 0, 0]),                # the hypothesis repeats "a b"
+        # "a b c" runs on one diagonal, a mismatch breaks it, and "d e f"
+        # runs on another
+        ("a b c x d e f", "d e f y a b c", [6, 4, 2, 0]),
+        ("a b c d", "y a b z", [2, 1, 0, 0]),              # a run of 1 bigram
+        ("a b c d", "y a b c z", [3, 2, 1, 0]),            # a run of 2 bigrams
+        ("a b c d", "y a b c d z", [4, 3, 2, 1]),          # a run of 3 bigrams
+        ("a b", "b a b", [2, 1, 0, 0]),                    # hypothesis of length 2
+        ("a b c", "c a b", [3, 1, 0, 0]),                  # hypothesis of length 3
+        ("a b c", "", [0, 0, 0, 0]),                       # reference of length 0
+        ("a b c", "b", [1, 0, 0, 0]),                      # reference of length 1
+    ])
+    def test_pooled_counts_branches(self, hyp, ref, correct):
+        hyp, ref = hyp.split(), ref.split()
+        total = [max(len(hyp) - n + 1, 0) for n in range(1, BLEU_MAX_ORDER + 1)]
+        counts = _pooled_counts([hyp], [ref])
+        assert counts == (correct, total, len(hyp), len(ref))
+        assert counts == oracle_per_order_counts([hyp], [ref])
+        assert counts[:2] == oracle_counts([(hyp, ref)])
 
     @pytest.mark.parametrize("hyp, ref, matches", [
         (["a", "b", "c"], ["c", "b", "d"], 2),            # no repeat

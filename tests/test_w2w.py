@@ -10,10 +10,32 @@ from hypothesis import given, strategies as st
 from lexmine.cli import run
 from lexmine.dictionary import invert, parse_dictionary
 from lexmine.textproc import is_punctuation, tokenize
-from lexmine.w2w import translate_tokens
+from lexmine.w2w import TranslationResult, translate_tokens
 
 word_st = st.text(alphabet="abcdef", min_size=1, max_size=5)
 token_st = st.one_of(word_st, st.sampled_from(["!", ",", ".", "?"]))
+# words, punctuation, symbols and mixed tokens, in any case, with digits,
+# numeric characters ("²", "½") and letters beyond ASCII
+mixed_token_st = st.one_of(word_st, st.text(alphabet="abcABC19²½éÉ.,'-!?€", max_size=5), st.text())
+
+
+def oracle_translate_tokens(dictionary, tokens) -> TranslationResult:
+    """`translate_tokens` as it was before it tested `isalnum()` itself:
+    `is_punctuation` on every token."""
+    out = []
+    oov = 0
+    for token in tokens:
+        if is_punctuation(token):
+            out.append(token)
+            continue
+        lowered = token.lower()
+        targets = dictionary.entries.get(lowered)
+        if targets:
+            out.append(targets[0])
+        else:
+            out.append(lowered)
+            oov += 1
+    return TranslationResult(out, oov)
 
 
 @st.composite
@@ -80,6 +102,12 @@ class TestTranslateTokens:
                 targets = d.entries.get(original.lower())
                 expected = targets[0] if targets else original.lower()
                 assert translated == expected
+
+
+    @given(st.dictionaries(word_st, word_st, max_size=6), st.lists(mixed_token_st, max_size=12))
+    def test_equals_oracle(self, rows, tokens):
+        d = parse_dictionary([f"{s}\t{t}" for s, t in rows.items()])
+        assert translate_tokens(d, tokens) == oracle_translate_tokens(d, tokens)
 
 
 class TestIdentityAndRoundTrip:
