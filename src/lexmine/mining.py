@@ -13,6 +13,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .dictionary import BilingualDictionary
 from .errors import InputError, ParseError
@@ -152,26 +153,29 @@ def diversity_filter(pairs: list[AlignedPair], cfg: MiningConfig) -> list[Aligne
     surviving sentences, the currently worst offender (ties lexicographic)
     sheds its lowest-scoring sentences (ties: input order) until it fits,
     and counts are recomputed. Output preserves input order.
+
+    Each sentence's distinct trigrams are held as a tuple, not a set (a set
+    of five or more carries a 32-slot table), and counted in one pass.
     """
-    trigram_sets = [set(ngrams(normalize(tokenize(p.source_sentence)), 3)) for p in pairs]
-    occurrence = Counter()
-    for trigrams in trigram_sets:
-        occurrence.update(trigrams)
+    rows = [tuple(set(ngrams(normalize(tokenize(p.source_sentence)), 3))) for p in pairs]
+    occurrence = Counter(chain.from_iterable(rows))
     # the keys are unique, so the heap's top K equal sorted(...)[:K]
     top = heapq.nsmallest(cfg.trigram_top_k, occurrence.items(),
                           key=lambda item: (-item[1], item[0]))
+    del occurrence  # it holds every distinct trigram; free it before narrowing
     watched = {tri for tri, _ in top}
     if not watched:
         return list(pairs)
     # from here on a sentence matters only through its watched trigrams
-    trigram_sets = [trigrams & watched for trigrams in trigram_sets]
+    rows = [tuple(watched.intersection(row)) for row in rows]
 
     alive = [True] * len(pairs)
     members: dict[tuple, list[int]] = {tri: [] for tri in watched}
-    for idx, trigrams in enumerate(trigram_sets):
-        for tri in trigrams:
+    for idx, row in enumerate(rows):
+        for tri in row:
             members[tri].append(idx)
     counts = {tri: len(idxs) for tri, idxs in members.items()}
+    scores = [pair.score for pair in pairs]
 
     while True:
         overloaded = [(cnt, tri) for tri, cnt in counts.items() if cnt > cfg.trigram_cap]
@@ -180,14 +184,13 @@ def diversity_filter(pairs: list[AlignedPair], cfg: MiningConfig) -> list[Aligne
         # worst offender first; ties broken by lexicographic trigram order
         worst_count = max(cnt for cnt, _ in overloaded)
         worst = min(tri for cnt, tri in overloaded if cnt == worst_count)
-        victims = sorted(
-            (idx for idx in members[worst] if alive[idx]),
-            key=lambda idx: (pairs[idx].score, idx),
-        )
+        # members[worst] is in input order and the sort is stable, so tied
+        # scores go in input order
+        victims = sorted(filter(alive.__getitem__, members[worst]), key=scores.__getitem__)
         to_remove = counts[worst] - cfg.trigram_cap
         for idx in victims[:to_remove]:
             alive[idx] = False
-            for tri in trigram_sets[idx]:
+            for tri in rows[idx]:
                 counts[tri] -= 1
 
     return [pair for idx, pair in enumerate(pairs) if alive[idx]]

@@ -7,8 +7,10 @@ import errno
 import gc
 import hashlib
 import io
+import itertools
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -711,6 +713,39 @@ class TestEval:
         capsys.readouterr()
         assert large <= 1.5 * small, (small, large)
 
+    def test_filter_memory_stays_near_the_input_size(self, tmp_path, capsys):
+        # stub-article rows "X adalah <kind> di <place>, <region>." whose
+        # slots are drawn Zipfian, so frequent values make over-cap
+        # trigrams, with scores that tie. mine filter holds the rows and,
+        # until ranking, each row's distinct trigrams as a tuple: about 16
+        # times the file here; a set per row would take about 25 times it
+        rng = random.Random(1)
+
+        def words(count):
+            return ["".join(rng.choice("bdgklmnprst") + rng.choice("aiou")
+                            for _ in range(rng.randint(2, 4))) for _ in range(count)]
+
+        def zipf(count, exponent):
+            pool = words(count)
+            weights = list(itertools.accumulate(rank ** -exponent
+                                                for rank in range(1, count + 1)))
+            return lambda: rng.choices(pool, cum_weights=weights)[0]
+
+        kind, place, region = zipf(600, 0.9), zipf(4000, 1.0), zipf(800, 1.1)
+        rows = []
+        for n, name in enumerate(words(6000)):
+            src = f"{name.capitalize()} adalah {kind()} di {place()}, {region()}."
+            rows.append(f"{src}\t{src}\t{rng.randint(500, 1000) / 1000:.6f}\td{n // 3}\n")
+        corpus = write(tmp_path / "corpus.tsv", "".join(rows))
+        tracemalloc.start()
+        try:
+            assert run(["mine", "filter", "--in", corpus, "--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 18 * os.path.getsize(corpus), (peak, os.path.getsize(corpus))
+
     def test_rouge_mean(self, tmp_path, capsys):
         hyp = write(tmp_path / "h.txt", "a b c\n")
         ref = write(tmp_path / "r.txt", "a b d\n")
@@ -1099,6 +1134,11 @@ def assert_files(manifest, argv, outputs):
 # side (a run of three bigrams, a run broken and resumed on another
 # diagonal, 1- and 2-token segments) and segments whose hypothesis or
 # reference repeats a bigram.
+# The stub corpus makes `mine filter --trigram-top 3 --trigram-cap 2` shed
+# rows in two rounds: "adalah nagari di" and "di agam ." tie at 7 rows (in
+# mixed case), the first sheds five rows across a tie of scores, and then
+# "di agam ." still holds three live rows and sheds one, while the dead
+# 0.5 row it also held scores lowest.
 DRIFT_FILES = {
     "drift_hyp.txt": "tiga\nlimo tujuah\nsatu anam tiga satu ampek tiga\nsatu\n",
     "drift_ref.txt": "tiga\ntiga anam limo\ntiga\nsatu satu\n",
@@ -1118,6 +1158,20 @@ DRIFT_FILES = {
                          "satu dua\n"
                          "tiga\n"
                          "ampek\n"),
+    "stubs.tsv": "".join(f"{src}\t{src}\t{score}\td{n // 2}\n" for n, (src, score) in enumerate([
+        ("Koto Gadang adalah nagari di Agam.", "0.800000"),
+        ("Koto Baru adalah nagari di Agam.", "0.800000"),
+        ("KOTO Tuo adalah Nagari di agam.", "0.800000"),
+        ("Sungai Puar adalah nagari di Agam.", "0.500000"),
+        ("Pandai Sikek adalah nagari di Tanah Datar.", "0.800000"),
+        ("Batu Taba adalah nagari di Agam.", "0.950000"),
+        ("Pariangan adalah nagari di Tanah Datar.", "0.700000"),
+        ("Lintau adalah kecamatan di Tanah Datar.", "0.800000"),
+        ("Tilatang Kamang adalah kecamatan di AGAM.", "0.600000"),
+        ("Rao adalah kecamatan di Pasaman.", "0.600000"),
+        ("Canduang adalah kecamatan di Agam.", "0.900000"),
+        ("Pasaman adalah kabupaten di Sumatera Barat.", "0.900000"),
+    ])),
 }
 
 # (command, extra flags): each command once, and the eval runs whose flags
@@ -1134,6 +1188,7 @@ GOLDEN_RUNS = [(command, ()) for command in COMMANDS] + [
     ("eval judge", ("--scores-a", "drift_a.txt", "--scores-b", "drift_b.txt")),
     ("eval bleu", ("--hyp", "drift_hyp.txt", "--ref", "drift_ref.txt")),
     ("eval bleu", ("--hyp", "diagonal_hyp.txt", "--ref", "diagonal_ref.txt")),
+    ("mine filter", ("--in", "stubs.tsv", "--trigram-top", "3", "--trigram-cap", "2")),
 ]
 
 
@@ -1302,6 +1357,12 @@ GOLDEN_DIGESTS = {
         "out.manifest.json": "5ecd2f954a506f24",
         "stderr": "",
         "stdout": "a0e6766e8df4336d",
+    },
+    "mine filter --in stubs.tsv --trigram-top 3 --trigram-cap 2": {
+        "out": "db6d4190840e1f4a",
+        "out.manifest.json": "e27b357dcb502a39",
+        "stderr": "76d8db14e3713817",
+        "stdout": "",
     },
 }
 

@@ -276,6 +276,22 @@ class TestDiversityFilter:
         positions = [pairs.index(p) for p in kept]
         assert positions == sorted(positions)
 
+    def test_equal_scores_shed_in_input_order(self):
+        pairs = [pair_with("a b c", 0.5, i) for i in range(6)]
+        assert diversity_filter(pairs, MiningConfig(trigram_cap=2)) == pairs[4:]
+
+    def test_tied_scores_across_two_overloads(self):
+        # "a b c" and "x y z" both hold five rows, so "a b c" sheds first:
+        # row 0, then the first two of its three 0.5 rows. Row 0 also held
+        # "x y z", which then sheds its 0.1 row and the first of its two
+        # 0.5 rows; the dead row 0 is no victim a second time.
+        rows = [("a b c x y z", 0.2), ("a b c", 0.5), ("a b c", 0.5), ("a b c", 0.5),
+                ("a b c", 0.9), ("x y z", 0.5), ("x y z", 0.1), ("x y z", 0.5),
+                ("x y z", 0.9)]
+        pairs = [pair_with(text, score, i) for i, (text, score) in enumerate(rows)]
+        kept = diversity_filter(pairs, MiningConfig(trigram_cap=2))
+        assert kept == [pairs[3], pairs[4], pairs[7], pairs[8]]
+
     def test_empty_input(self):
         assert diversity_filter([], MiningConfig()) == []
 
