@@ -85,7 +85,7 @@ _SETTINGS = {
     "threshold": (float, MiningConfig.align_threshold, "minimum alignment score"),
     "trigram_top": (int, MiningConfig.trigram_top_k, "how many frequent trigrams to watch"),
     "trigram_cap": (int, MiningConfig.trigram_cap, "max sentences per watched trigram"),
-    "one_to_one": (_conv_bool, MiningConfig.one_to_one, None),  # flag pair in mining_flags
+    "one_to_one": (_conv_bool, MiningConfig.one_to_one, None),  # flag pair in pairing_flags
     "lowercase": (_conv_bool, False, "case-insensitive scoring"),
     "no_tokenize": (_conv_bool, False, "input is pre-tokenized; split on whitespace"),
     "vocab_size": (int, CvConfig.bpe_vocab_size, "BPE vocabulary size"),

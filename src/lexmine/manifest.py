@@ -125,7 +125,7 @@ def write_manifest(path, command: str, config: dict, inputs, counts: dict,
         "version": __version__,
         "command": command,
         "config": config,
-        "inputs": dict(sorted({str(p): sha256_file(p) for p in inputs}.items())),
+        "inputs": {str(p): sha256_file(p) for p in inputs},
         "counts": counts,
         "outputs": outputs,
     }

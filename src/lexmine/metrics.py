@@ -96,7 +96,8 @@ def _pooled_counts(hypotheses, references):
     """Clipped n-gram matches and hypothesis n-gram totals per order, pooled
     over the segment pairs, with the pooled hypothesis and reference lengths.
     Unigrams are the tokens themselves rather than 1-tuples, which counts
-    the same; they are clipped by `_clipped_matches`.
+    the same; they are clipped by `_clipped_matches`, and their total is
+    the pooled hypothesis length.
 
     Orders 2 and up are read off the diagonals of bigram matches when
     neither side of a segment repeats a bigram. That is exact:
@@ -118,14 +119,13 @@ def _pooled_counts(hypotheses, references):
     """
     correct = [0] * BLEU_MAX_ORDER
     total = [0] * BLEU_MAX_ORDER
-    hyp_len = ref_len = 0
+    ref_len = 0
     hyp_count = ref_count = 0
     for hyp, ref in zip_longest(hypotheses, references):
         hyp_count += hyp is not None
         ref_count += ref is not None
         if hyp is None or ref is None:
             continue  # counting what is left of the longer side
-        hyp_len += len(hyp)
         ref_len += len(ref)
         correct[0] += _clipped_matches(hyp, ref)
         total[0] += len(hyp)
@@ -155,7 +155,7 @@ def _pooled_counts(hypotheses, references):
         raise InputError(f"hypothesis/reference counts differ: {hyp_count} vs {ref_count}")
     if not hyp_count:
         raise InputError("at least one hypothesis is required")
-    return correct, total, hyp_len, ref_len
+    return correct, total, total[0], ref_len
 
 
 def bleu(hypotheses: Iterable[list[Token]], references: Iterable[list[Token]]) -> BleuReport:

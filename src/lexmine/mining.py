@@ -71,16 +71,14 @@ def align_documents(src_docs: list[Document], tgt_docs: list[Document]
     """
     tgt_by_title: dict[str, Document] = {}
     for doc in tgt_docs:
-        key = normalize_title(doc.title)
-        if key and key not in tgt_by_title:
-            tgt_by_title[key] = doc
+        tgt_by_title.setdefault(normalize_title(doc.title), doc)
+    tgt_by_title.pop("", None)
     pairs = []
-    seen: set[str] = set()
     for doc in src_docs:
-        key = normalize_title(doc.title)
-        if key and key not in seen and key in tgt_by_title:
-            pairs.append((doc, tgt_by_title[key]))
-            seen.add(key)
+        # a paired title leaves the map, so a later source with it finds none
+        tgt = tgt_by_title.pop(normalize_title(doc.title), None)
+        if tgt is not None:
+            pairs.append((doc, tgt))
     return pairs
 
 

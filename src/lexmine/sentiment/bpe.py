@@ -131,15 +131,13 @@ def bpe_train(corpus, vocab_size: int) -> BpeModel:
     heap = [(-count, pair) for pair, count in pair_counts.items()]
     heapq.heapify(heap)
     merges: list[tuple[str, str]] = []
-    symbols_used = len(alphabet)
-    while symbols_used < vocab_size and heap:
+    while len(alphabet) + len(merges) < vocab_size and heap:
         neg_count, best_pair = heapq.heappop(heap)
         if -neg_count != pair_counts.get(best_pair, 0):
             continue
         if -neg_count < 2:
             break
         merges.append(best_pair)
-        symbols_used += 1
         left, right = best_pair
         merged = left + right
         # merging never recreates best_pair, so its word set retires with it;

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import product
 
 from ..dictionary import BilingualDictionary
 from ..errors import ConfigError, InputError, ParseError
@@ -101,24 +100,18 @@ def stratified_folds(data, k: int, ratios: tuple[float, float, float],
     by_class: dict[str, list[int]] = {}
     for idx, label in enumerate(data):
         by_class.setdefault(label, []).append(idx)
+    rng = random.Random(seed)
     for label, members in sorted(by_class.items()):
         if len(members) < k:
             raise InputError(f"class {label!r} has {len(members)} items, fewer than k={k}")
-
-    rng = random.Random(seed)
-    shuffled: dict[str, list[int]] = {}
-    for label in sorted(by_class):
-        members = list(by_class[label])
         rng.shuffle(members)
-        shuffled[label] = members
 
     folds = []
     for i in range(k):
         train: list[int] = []
         dev: list[int] = []
         test: list[int] = []
-        for label in sorted(shuffled):
-            members = shuffled[label]
+        for label, members in sorted(by_class.items()):
             n = len(members)
             buckets = [members[j::k] for j in range(k)]
             test_c = buckets[i]
@@ -194,10 +187,9 @@ def _grid(train_data, config):
         for alpha in sorted(config.nb_alpha_grid):
             yield {"alpha": alpha}, nb_train(train_data, alpha=alpha), nb_predict
         return
-    epoch_grid = sorted(config.lr_epoch_grid)
-    l2_grid = sorted(config.lr_l2_grid)
-    models = lr_train_checkpoints(train_data, config.lr_learning_rate, epoch_grid, l2_grid)
-    for (epochs, l2), model in zip(product(epoch_grid, l2_grid), models):
+    for epochs, l2, model in lr_train_checkpoints(train_data, config.lr_learning_rate,
+                                                  sorted(config.lr_epoch_grid),
+                                                  sorted(config.lr_l2_grid)):
         yield {"epochs": epochs, "l2": l2}, model, lr_predict
 
 

@@ -15,6 +15,7 @@ imported only where LR uses it. Prediction ties break toward the negative
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product, starmap
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -55,30 +56,26 @@ def nb_train(data: list[tuple[FeatureVector, str]], alpha: float) -> NbModel:
         raise InputError(f"smoothing alpha must be finite and > 0, got {alpha}")
     if not data:
         raise InputError("training data is empty")
-    _check_labels(label for _, label in data)
+    class_docs = Counter(label for _, label in data)
+    _check_labels(class_docs)
 
-    class_docs = {label: 0 for label in LABELS}
     class_feature_counts = {label: {} for label in LABELS}
-    class_totals = {label: 0 for label in LABELS}
-    vocabulary: set[str] = set()
     for features, label in data:
-        class_docs[label] += 1
         counts = class_feature_counts[label]
         for feature, count in features.items():
-            vocabulary.add(feature)
             counts[feature] = counts.get(feature, 0) + count
-            class_totals[label] += count
 
     n_docs = len(data)
+    vocabulary = set().union(*class_feature_counts.values())
     v = len(vocabulary)
     log_prior = {label: math.log(class_docs[label] / n_docs) for label in LABELS}
     log_lik = {}
     unseen = {}
     for label in LABELS:
-        denom = class_totals[label] + alpha * v
+        counts = class_feature_counts[label]
+        denom = sum(counts.values()) + alpha * v
         log_lik[label] = {
-            feature: math.log((count + alpha) / denom)
-            for feature, count in class_feature_counts[label].items()
+            feature: math.log((count + alpha) / denom) for feature, count in counts.items()
         }
         unseen[label] = math.log(alpha / denom)
     return NbModel(log_prior, log_lik, unseen, vocabulary)
@@ -242,9 +239,11 @@ def _lr_descend(problem: _LrProblem, learning_rate: float, l2: float,
 
 
 def lr_train_checkpoints(data: list[tuple[FeatureVector, str]], learning_rate: float,
-                         epoch_grid: Sequence[int], l2_grid: Sequence[float]) -> Iterator[LrModel]:
+                         epoch_grid: Sequence[int], l2_grid: Sequence[float]
+                         ) -> Iterator[tuple[int, float, LrModel]]:
     """Train one model per `(epochs, l2)` cell, epochs first and each grid
-    in the order given, from one shared problem.
+    in the order given, from one shared problem, and yield each as
+    `(epochs, l2, model)`.
 
     Each l2 value gets one descent, snapshotted at every epoch count:
     full-batch descent makes a shorter run a prefix of a longer one, so
@@ -270,11 +269,12 @@ def lr_train_checkpoints(data: list[tuple[FeatureVector, str]], learning_rate: f
                  for l2 in dict.fromkeys(l2_grid)} if checkpoints else {}
     feature_ids = problem.feature_ids
 
-    def model(epochs: int, l2: float) -> LrModel:
+    def cell(epochs: int, l2: float) -> tuple[int, float, LrModel]:
         w, bias = snapshots[l2][epochs]
-        return LrModel({f: v for f, v in zip(feature_ids, w.tolist()) if v != 0.0}, bias)
+        weights = {f: v for f, v in zip(feature_ids, w.tolist()) if v != 0.0}
+        return epochs, l2, LrModel(weights, bias)
 
-    return starmap(model, product(epoch_grid, l2_grid))
+    return starmap(cell, product(epoch_grid, l2_grid))
 
 
 def lr_predict(model: LrModel, features: FeatureVector) -> str:

@@ -1,4 +1,5 @@
-"""Every public name has a caller, and the benchmark tracer's targets resolve."""
+"""Every public name has a caller, every import is used, and the benchmark
+tracer's targets resolve."""
 from __future__ import annotations
 
 import ast
@@ -116,3 +117,22 @@ def test_every_defaulted_parameter_is_passed():
             unpassed += [f"{node.name}({arg})" for i, arg in defaulted
                          if (node.name, i) not in passed and (node.name, arg) not in passed]
     assert unpassed == []
+
+
+def test_every_import_is_used():
+    # every name an import binds, at module level or in a function, is
+    # loaded somewhere in its module; `from __future__` binds nothing
+    source = Path(lexmine.__file__).resolve().parent
+    unused = []
+    for path in source.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unused += [f"{path.relative_to(source)}:{node.lineno}:{name}"
+                           for name in bound if name not in loaded]
+    assert unused == []

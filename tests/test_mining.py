@@ -77,6 +77,44 @@ class TestAlignDocuments:
         assert align_documents(src, tgt) == []
 
 
+def oracle_align_documents(src_docs, tgt_docs):
+    """Title pairing with a second copy of its state: the first target per
+    title kept in a map, and the paired titles in a set of their own."""
+    tgt_by_title = {}
+    for doc in tgt_docs:
+        key = normalize_title(doc.title)
+        if key and key not in tgt_by_title:
+            tgt_by_title[key] = doc
+    pairs = []
+    seen = set()
+    for doc in src_docs:
+        key = normalize_title(doc.title)
+        if key and key not in seen and key in tgt_by_title:
+            pairs.append((doc, tgt_by_title[key]))
+            seen.add(key)
+    return pairs
+
+
+# case and punctuation variants of three titles, and titles that normalize
+# to nothing; a short pool makes titles repeat within and across sides
+TITLE_POOL = ["Kucing", "kucing!", "KUCING", "Anjing", "anjing.", "Alpha-Beta",
+              "alpha beta", "!!!", "...", "", " "]
+titles_st = st.lists(st.sampled_from(TITLE_POOL), max_size=8)
+
+
+class TestAlignDocumentsOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(src_titles=titles_st, tgt_titles=titles_st)
+    # "kucing!" comes after "Kucing" has taken the target, and "!!!" and
+    # "..." are titles on both sides that never pair
+    @example(src_titles=["Kucing", "!!!", "kucing!", "Anjing"],
+             tgt_titles=["...", "KUCING", "kucing", "anjing.", "!!!"])
+    def test_equals_seen_set_pairing(self, src_titles, tgt_titles):
+        src = [Document(f"s{i}", title, "x") for i, title in enumerate(src_titles)]
+        tgt = [Document(f"t{i}", title, "y") for i, title in enumerate(tgt_titles)]
+        assert align_documents(src, tgt) == oracle_align_documents(src, tgt)
+
+
 class TestAlignSentences:
     def test_identity_pair_scores_one(self):
         aligned = align_sentences(["A b c."], ["A b c."], "s", IDENTITY_DICT, MiningConfig())

@@ -3,16 +3,18 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lexmine.errors import DivergenceError, InputError
 from lexmine.sentiment.models import (
     LABELS,
     NEGATIVE,
     POSITIVE,
+    NbModel,
     _logistic,
     _lr_descend,
     _LrProblem,
@@ -105,6 +107,65 @@ class TestNaiveBayes:
         assert nb_predict(model, {"down": 1}) == NEGATIVE
 
 
+def oracle_nb_train(data, alpha):
+    """`nb_train` with running counters: the vocabulary, each class's
+    document count and each class's count total kept beside the per-class
+    feature counts. It skips the input checks, as the draws are valid."""
+    class_docs = {label: 0 for label in LABELS}
+    class_feature_counts = {label: {} for label in LABELS}
+    class_totals = {label: 0 for label in LABELS}
+    vocabulary = set()
+    for features, label in data:
+        class_docs[label] += 1
+        counts = class_feature_counts[label]
+        for feature, count in features.items():
+            vocabulary.add(feature)
+            counts[feature] = counts.get(feature, 0) + count
+            class_totals[label] += count
+
+    n_docs = len(data)
+    v = len(vocabulary)
+    log_prior = {label: math.log(class_docs[label] / n_docs) for label in LABELS}
+    log_lik = {}
+    unseen = {}
+    for label in LABELS:
+        denom = class_totals[label] + alpha * v
+        log_lik[label] = {
+            feature: math.log((count + alpha) / denom)
+            for feature, count in class_feature_counts[label].items()
+        }
+        unseen[label] = math.log(alpha / denom)
+    return NbModel(log_prior, log_lik, unseen, vocabulary)
+
+
+# unigram and bigram keys from a short pool, zero counts included, so
+# features repeat across rows and classes and some rows are empty
+feature_vector_st = st.dictionaries(st.sampled_from(["a", "b", "c", "d", "a b", "b a", "c d"]),
+                                    st.integers(0, 4), max_size=5)
+nb_data_st = st.tuples(
+    st.lists(st.tuples(feature_vector_st, st.sampled_from(LABELS)), max_size=10),
+    feature_vector_st, feature_vector_st,
+).map(lambda drawn: drawn[0] + [(drawn[1], NEGATIVE), (drawn[2], POSITIVE)])
+
+
+class TestNaiveBayesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(data=nb_data_st, alpha=st.sampled_from([0.1, 0.5, 1.0, 3.7]))
+    @example(data=[({}, NEGATIVE), ({}, POSITIVE)], alpha=1.0)
+    @example(data=[({"a": 0}, NEGATIVE), ({}, POSITIVE)], alpha=1.0)
+    def test_every_field_equals_running_counters(self, data, alpha):
+        if not any(features for features, _ in data):
+            # no feature leaves an empty vocabulary: both divide by zero
+            for train_nb in (nb_train, oracle_nb_train):
+                with pytest.raises(ZeroDivisionError):
+                    train_nb(data, alpha)
+            return
+        got = nb_train(data, alpha=alpha)
+        want = oracle_nb_train(data, alpha)
+        for field in fields(NbModel):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+
 LR_TOY = [
     ({"f1": 2, "f2": 1}, POSITIVE),
     ({"f1": 1, "f3": 2}, POSITIVE),
@@ -115,7 +176,8 @@ LR_TOY = [
 
 def train(data, learning_rate, epochs, l2):
     """The model of the single grid cell `(epochs, l2)`."""
-    return next(lr_train_checkpoints(data, learning_rate, [epochs], [l2]))
+    _, _, model = next(lr_train_checkpoints(data, learning_rate, [epochs], [l2]))
+    return model
 
 
 def weight_array(problem, weights):
@@ -394,7 +456,7 @@ class TestLrTraining:
         models = lr_train_checkpoints(LR_TOY, 0.05, range(1, 21), [0.0])
         problem = _LrProblem(LR_TOY)
         losses = []
-        for m in models:
+        for _, _, m in models:
             w = weight_array(problem, m.weights)
             losses.append(problem.loss(w, problem.scores(w, m.bias), 0.0))
         assert losses[0] <= math.log(2.0)
@@ -404,19 +466,21 @@ class TestLrTraining:
     def test_checkpoints_equal_separate_runs(self):
         snapshots = list(lr_train_checkpoints(LR_TOY, 0.1, [50, 20], [0.0]))
         alone = train(LR_TOY, 0.1, 20, 0.0)
-        assert snapshots[1] == alone
+        assert snapshots[1] == (20, 0.0, alone)
 
     @settings(max_examples=40, deadline=None)
     @given(learning_rate=st.sampled_from([0.05, 0.1, 0.5]),
            epoch_grid=st.lists(st.integers(1, 8), max_size=6),
            l2_grid=st.lists(st.sampled_from([0.0, 0.01, 0.3]), max_size=4))
     def test_grid_cells_equal_single_cell_runs(self, learning_rate, epoch_grid, l2_grid):
-        # the grids come unsorted and with repeats; cells are epochs first
+        # the grids come unsorted and with repeats; cells are epochs first,
+        # each labeled with its own (epochs, l2)
         assert list(lr_train_checkpoints(LR_TOY, learning_rate, epoch_grid, l2_grid)) == [
-            train(LR_TOY, learning_rate, epochs, l2) for epochs in epoch_grid for l2 in l2_grid]
+            (epochs, l2, train(LR_TOY, learning_rate, epochs, l2))
+            for epochs in epoch_grid for l2 in l2_grid]
 
     def test_l2_shrinks_weights(self):
-        plain, ridged = lr_train_checkpoints(LR_TOY, 0.1, [100], [0.0, 0.5])
+        (_, _, plain), (_, _, ridged) = lr_train_checkpoints(LR_TOY, 0.1, [100], [0.0, 0.5])
         norm = lambda m: sum(v * v for v in m.weights.values())
         assert norm(ridged) < norm(plain)
 
