@@ -281,12 +281,12 @@ def _run_mining(args, apply_filter: bool) -> tuple[dict, dict]:
     src_docs = read_documents(args.src)
     tgt_docs = read_documents(args.tgt)
     dictionary = load_dictionary(args.dict)
-    pairs, stats = mine(src_docs, tgt_docs, dictionary, mining_cfg, apply_filter=apply_filter)
+    pairs, counts = mine(src_docs, tgt_docs, dictionary, mining_cfg, apply_filter=apply_filter)
     write_corpus(pairs, args.out)
-    print(f"paired {stats.document_pairs} documents, "
-          f"aligned {stats.aligned_pairs} sentence pairs, "
-          f"kept {stats.final_pairs}", file=sys.stderr)
-    return config, asdict(stats)
+    print(f"paired {counts['document_pairs']} documents, "
+          f"aligned {counts['aligned_pairs']} sentence pairs, "
+          f"kept {counts['final_pairs']}", file=sys.stderr)
+    return config, counts
 
 
 def _cmd_mine_sents(args) -> tuple[dict, dict]:

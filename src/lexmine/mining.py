@@ -162,8 +162,6 @@ def diversity_filter(pairs: list[AlignedPair], cfg: MiningConfig) -> list[Aligne
                           key=lambda item: (-item[1], item[0]))
     del occurrence  # it holds every distinct trigram; free it before narrowing
     watched = {tri for tri, _ in top}
-    if not watched:
-        return list(pairs)
     # from here on a sentence matters only through its watched trigrams
     rows = [tuple(watched.intersection(row)) for row in rows]
 
@@ -196,40 +194,28 @@ def diversity_filter(pairs: list[AlignedPair], cfg: MiningConfig) -> list[Aligne
 
 # -- whole-pipeline driver ---------------------------------------------------
 
-@dataclass
-class MiningStats:
-    source_documents: int = 0
-    target_documents: int = 0
-    document_pairs: int = 0
-    source_sentences: int = 0
-    aligned_pairs: int = 0
-    final_pairs: int = 0
-
-
 def mine(src_docs: list[Document], tgt_docs: list[Document],
          dictionary: BilingualDictionary, cfg: MiningConfig,
-         apply_filter: bool = True) -> tuple[list[AlignedPair], MiningStats]:
+         apply_filter: bool = True) -> tuple[list[AlignedPair], dict[str, int]]:
     """Full pipeline: title pairing -> sentence alignment -> trigram filter.
 
     Each paired document is split into sentences once, here. Aligned pairs
     come out in document-pair order. `apply_filter=False` stops after
-    thresholding.
+    thresholding. Returns the pairs and the counts the mining manifest
+    records.
     """
-    stats = MiningStats(source_documents=len(src_docs), target_documents=len(tgt_docs))
     doc_pairs = align_documents(src_docs, tgt_docs)
-    stats.document_pairs = len(doc_pairs)
-
+    source_sentences = 0
     aligned = []
     for src_doc, tgt_doc in doc_pairs:
         src_sentences = split_sentences(src_doc.text)
-        stats.source_sentences += len(src_sentences)
+        source_sentences += len(src_sentences)
         aligned.extend(align_sentences(src_sentences, split_sentences(tgt_doc.text),
                                        src_doc.id, dictionary, cfg))
-    stats.aligned_pairs = len(aligned)
-
     final = diversity_filter(aligned, cfg) if apply_filter else aligned
-    stats.final_pairs = len(final)
-    return final, stats
+    return final, {"source_documents": len(src_docs), "target_documents": len(tgt_docs),
+                   "document_pairs": len(doc_pairs), "source_sentences": source_sentences,
+                   "aligned_pairs": len(aligned), "final_pairs": len(final)}
 
 
 # -- file formats ------------------------------------------------------------

@@ -101,32 +101,25 @@ def stratified_folds(data, k: int, ratios: tuple[float, float, float],
     for idx, label in enumerate(data):
         by_class.setdefault(label, []).append(idx)
     rng = random.Random(seed)
+    splits: list[tuple[list[int], list[int], list[int]]] = [([], [], []) for _ in range(k)]
     for label, members in sorted(by_class.items()):
-        if len(members) < k:
-            raise InputError(f"class {label!r} has {len(members)} items, fewer than k={k}")
+        n = len(members)
+        if n < k:
+            raise InputError(f"class {label!r} has {n} items, fewer than k={k}")
         rng.shuffle(members)
-
-    folds = []
-    for i in range(k):
-        train: list[int] = []
-        dev: list[int] = []
-        test: list[int] = []
-        for label, members in sorted(by_class.items()):
-            n = len(members)
-            buckets = [members[j::k] for j in range(k)]
-            test_c = buckets[i]
+        buckets = [members[j::k] for j in range(k)]
+        # dev size splits the difference between its own exact share and
+        # what the train share leaves over, keeping both within one item
+        want_dev = n * r_dev
+        for i, (train, dev, test) in enumerate(splits):
             rest = [idx for j in range(k) if j != i for idx in buckets[j]]
-            # dev size splits the difference between its own exact share and
-            # what the train share leaves over, keeping both within one item
-            want_dev = n * r_dev
             leftover = len(rest) - n * r_train
-            dev_c = round((want_dev + leftover) / 2)
-            dev_c = max(0, min(len(rest), dev_c))
-            test.extend(test_c)
+            dev_c = max(0, min(len(rest), round((want_dev + leftover) / 2)))
+            test.extend(buckets[i])
             dev.extend(rest[:dev_c])
             train.extend(rest[dev_c:])
-        folds.append(FoldAssignment(sorted(train), sorted(dev), sorted(test)))
-    return folds
+    return [FoldAssignment(sorted(train), sorted(dev), sorted(test))
+            for train, dev, test in splits]
 
 
 @dataclass(frozen=True)
@@ -201,7 +194,6 @@ def cross_validate(data: list[LabeledPair], config: CvConfig, mode: str,
     if mode == "train-src/test-w2w" and dictionary is None:
         raise ConfigError("mode train-src/test-w2w requires a bilingual dictionary")
 
-    train_side = "src" if mode.startswith("train-src") else "tgt"
     folds = stratified_folds([row.label for row in data], k=config.folds,
                              ratios=config.ratios, seed=config.seed)
     for fold_idx, assignment in enumerate(folds):
@@ -209,8 +201,8 @@ def cross_validate(data: list[LabeledPair], config: CvConfig, mode: str,
             raise InputError(f"fold {fold_idx} has no dev rows; "
                              "add rows or raise the dev ratio")
 
-    def side_text(row: LabeledPair, side: str) -> str:
-        return row.src_text if side == "src" else row.tgt_text
+    def train_text(row: LabeledPair) -> str:
+        return row.tgt_text if mode == "train-tgt/test-tgt" else row.src_text
 
     def test_text(row: LabeledPair) -> str:
         if mode == "train-src/test-w2w":
@@ -223,10 +215,9 @@ def cross_validate(data: list[LabeledPair], config: CvConfig, mode: str,
         dev_rows = [data[i] for i in assignment.dev]
         test_rows = [data[i] for i in assignment.test]
 
-        bpe = bpe_train([side_text(r, train_side) for r in train_rows],
-                        vocab_size=config.bpe_vocab_size)
-        train_data = [(featurize(bpe, side_text(r, train_side)), r.label) for r in train_rows]
-        dev_features = [featurize(bpe, side_text(r, train_side)) for r in dev_rows]
+        bpe = bpe_train([train_text(r) for r in train_rows], vocab_size=config.bpe_vocab_size)
+        train_data = [(featurize(bpe, train_text(r)), r.label) for r in train_rows]
+        dev_features = [featurize(bpe, train_text(r)) for r in dev_rows]
         dev_labels = [r.label for r in dev_rows]
         test_features = [featurize(bpe, test_text(r)) for r in test_rows]
         test_labels = [r.label for r in test_rows]

@@ -67,6 +67,8 @@ def nb_train(data: list[tuple[FeatureVector, str]], alpha: float) -> NbModel:
 
     n_docs = len(data)
     vocabulary = set().union(*class_feature_counts.values())
+    if not vocabulary:
+        raise InputError("training data has no features")
     v = len(vocabulary)
     log_prior = {label: math.log(class_docs[label] / n_docs) for label in LABELS}
     log_lik = {}

@@ -197,7 +197,7 @@ def test_c03_alignment_recovery(capsys):
         assert len(split_sentences(src_docs[0].text)) == 20
 
         pairs, stats = mine(src_docs, tgt_docs, dictionary, MiningConfig())
-        assert stats.document_pairs == 50
+        assert stats["document_pairs"] == 50
 
         # exhaustive score-matrix oracle, document by document
         expected = []

@@ -3,16 +3,18 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import asdict
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lexmine.dictionary import parse_dictionary
 from lexmine.errors import ConfigError, InputError, ParseError
 from lexmine.sentiment import models
 from lexmine.sentiment.cv import (
     CvConfig,
+    FoldAssignment,
     LabeledPair,
     cross_validate,
     load_labeled_tsv,
@@ -151,6 +153,87 @@ class TestStratifiedFolds:
                 assert abs(in_range(fold.test) - n * 0.2) <= 1
                 assert abs(in_range(fold.dev) - n * 0.1) <= 1
                 assert abs(in_range(fold.train) - n * 0.7) <= 1
+
+
+def oracle_stratified_folds(data, k, ratios, seed):
+    """`stratified_folds` built fold by fold: for each fold, every class is
+    cut into its k buckets again and its slice of the fold computed."""
+    if k < 2:
+        raise InputError(f"k must be >= 2, got {k}")
+    r_train, r_dev, r_test = ratios
+    if not all(r >= 0 for r in ratios) or not abs(r_train + r_dev + r_test - 1.0) <= 1e-9:
+        raise InputError(f"ratios must be non-negative and sum to 1, got {ratios}")
+    if abs(r_test - 1.0 / k) > 1e-9:
+        raise InputError(f"test ratio must be 1/k={1.0 / k:.4f} for disjoint "
+                         f"test folds, got {r_test}")
+
+    by_class = {}
+    for idx, label in enumerate(data):
+        by_class.setdefault(label, []).append(idx)
+    rng = random.Random(seed)
+    for label, members in sorted(by_class.items()):
+        if len(members) < k:
+            raise InputError(f"class {label!r} has {len(members)} items, fewer than k={k}")
+        rng.shuffle(members)
+
+    folds = []
+    for i in range(k):
+        train, dev, test = [], [], []
+        for label, members in sorted(by_class.items()):
+            n = len(members)
+            buckets = [members[j::k] for j in range(k)]
+            test_c = buckets[i]
+            rest = [idx for j in range(k) if j != i for idx in buckets[j]]
+            want_dev = n * r_dev
+            leftover = len(rest) - n * r_train
+            dev_c = round((want_dev + leftover) / 2)
+            dev_c = max(0, min(len(rest), dev_c))
+            test.extend(test_c)
+            dev.extend(rest[:dev_c])
+            train.extend(rest[dev_c:])
+        folds.append(FoldAssignment(sorted(train), sorted(dev), sorted(test)))
+    return folds
+
+
+@st.composite
+def folds_case_st(draw):
+    """(labels, k, ratios): 1-3 classes in any order, some smaller than k,
+    and ratios that are valid (any dev share up to 1 - 1/k) or not."""
+    k = draw(st.integers(2, 7))
+    classes = draw(st.lists(st.sampled_from(["negative", "neutral", "positive"]),
+                            min_size=1, max_size=3, unique=True))
+    labels = [label for label in classes for _ in range(draw(st.integers(1, 4 * k)))]
+    labels = draw(st.permutations(labels))
+    remainder = 1.0 - 1.0 / k
+    # a grid of shares lands on exact halves, where round() ties to even
+    r_dev = draw(st.one_of(st.integers(0, 20).map(lambda t: remainder * t / 20),
+                           st.floats(0.0, remainder)))
+    valid = (remainder - r_dev, r_dev, 1.0 / k)
+    ratios = draw(st.sampled_from([
+        valid, valid, valid,
+        (remainder - r_dev, r_dev + 0.25, 1.0 / k),            # sums past 1
+        (1.0 - 1.0 / (k + 1) - r_dev, r_dev, 1.0 / (k + 1)),   # test share not 1/k
+        (-0.1, remainder + 0.1, 1.0 / k),                       # negative share
+        (math.nan, r_dev, 1.0 / k),
+    ]))
+    return labels, k, ratios
+
+
+class TestStratifiedFoldsOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(case=folds_case_st(), seed=st.integers(0, 2**32 - 1))
+    @example(case=(["positive"] * 3 + ["negative"] * 9, 4, (0.75, 0.0, 0.25)), seed=0)
+    @example(case=(["positive"] * 6, 1, (0.0, 0.0, 1.0)), seed=0)
+    def test_equals_fold_by_fold_assignment(self, case, seed):
+        labels, k, ratios = case
+        try:
+            want = oracle_stratified_folds(labels, k, ratios, seed)
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                stratified_folds(labels, k, ratios, seed)
+            assert str(got.value) == str(exc)
+            return
+        assert stratified_folds(labels, k, ratios, seed) == want
 
 
 class TestCvConfig:
