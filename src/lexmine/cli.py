@@ -417,7 +417,7 @@ def _cmd_sent_bpe(args) -> tuple[dict, dict]:
 def _cmd_sent_cv(args) -> tuple[dict, dict]:
     config, applied = _resolve_config(args, CvConfig)
     rows = load_labeled_tsv(args.data)
-    dictionary = load_dictionary(args.dict, ("tgt", "src")) if args.dict else None
+    dictionary = load_dictionary(args.dict) if args.dict else None
     report = cross_validate(rows, config, args.mode, dictionary)
     _emit_report(args, asdict(report), f"wrote report to {args.out}")
     print(f"mean_f1_positive {report.mean_f1_positive:.4f} "

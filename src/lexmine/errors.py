@@ -21,6 +21,12 @@ class ParseError(InputError):
         self.line_no = line_no
         super().__init__(f"{self.path}:{line_no}: {message}")
 
+    def __reduce__(self):
+        # pickle would call ParseError(full text); a worker process's
+        # error reaches its parent only through pickle
+        message = str(self)[len(f"{self.path}:{self.line_no}: "):]
+        return type(self), (self.path, self.line_no, message)
+
 
 class ConfigError(LexmineError):
     """Invalid or incomplete run configuration."""

@@ -19,8 +19,10 @@ dev F1, so a tie goes to the smaller value.
 from __future__ import annotations
 
 import math
+import os
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..dictionary import BilingualDictionary
 from ..errors import ConfigError, InputError, ParseError
@@ -186,9 +188,84 @@ def _grid(train_data, config):
         yield {"epochs": epochs, "l2": l2}, model, lr_predict
 
 
+def _run_fold(data, config, mode, dictionary, job) -> FoldResult:
+    """Train and test one fold; `job` is `(fold index, FoldAssignment)`."""
+    fold_idx, assignment = job
+
+    def train_text(row: LabeledPair) -> str:
+        return row.tgt_text if mode == "train-tgt/test-tgt" else row.src_text
+
+    def test_text(row: LabeledPair) -> str:
+        if mode == "train-src/test-w2w":
+            return translate_tokens(dictionary, tokenize(row.tgt_text)).text
+        return row.tgt_text
+
+    train_rows = [data[i] for i in assignment.train]
+    dev_rows = [data[i] for i in assignment.dev]
+    test_rows = [data[i] for i in assignment.test]
+
+    bpe = bpe_train([train_text(r) for r in train_rows], vocab_size=config.bpe_vocab_size)
+    train_data = [(featurize(bpe, train_text(r)), r.label) for r in train_rows]
+    dev_features = [featurize(bpe, train_text(r)) for r in dev_rows]
+    dev_labels = [r.label for r in dev_rows]
+    test_features = [featurize(bpe, test_text(r)) for r in test_rows]
+    test_labels = [r.label for r in test_rows]
+
+    # the first best dev F1 wins, so a tie goes to the smaller value
+    best = None
+    trace = []
+    for params, model, predict in _grid(train_data, config):
+        dev_f1 = f1_score([predict(model, fv) for fv in dev_features], dev_labels)
+        trace.append({"params": params, "dev_f1": dev_f1})
+        if best is None or dev_f1 > best[0]:
+            best = (dev_f1, params, model, predict)
+    dev_f1, chosen, model, predict = best
+
+    predictions = [predict(model, fv) for fv in test_features]
+    return FoldResult(
+        fold=fold_idx,
+        chosen=chosen,
+        dev_f1=dev_f1,
+        f1_positive=f1_score(predictions, test_labels),
+        f1_macro=macro_f1(predictions, test_labels),
+        sizes={"train": len(train_rows), "dev": len(dev_rows), "test": len(test_rows)},
+        grid_trace=trace,
+    )
+
+
+def _map_folds(run_fold, jobs: list) -> list[FoldResult]:
+    """`run_fold` over `jobs`, results in job order, in up to
+    min(len(jobs), CPUs) forked worker processes.
+
+    Forking is safe only from a process with one OS thread: a forked child
+    keeps no other thread, but keeps any lock another thread held, and
+    Python 3.12+ warns about it. Threads arrive unseen, for example with
+    numpy's BLAS pool, so the count comes from /proc. With more threads or
+    one CPU, or without /proc or CPU affinity (off Linux), the jobs run in
+    this process. The fork context is named because Python 3.14 defaults to
+    forkserver, which would start each worker from a fresh interpreter. A
+    worker's exception is raised here, and the pool's exit stops and reaps
+    every worker.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+        threads = len(os.listdir("/proc/self/task"))
+    except (AttributeError, OSError):
+        cpus = threads = 1
+    if cpus < 2 or threads > 1:
+        return list(map(run_fold, jobs))
+    import multiprocessing  # here, not at the top: it slows every lexmine import
+
+    with multiprocessing.get_context("fork").Pool(min(len(jobs), cpus)) as pool:
+        return list(pool.imap(run_fold, jobs))
+
+
 def cross_validate(data: list[LabeledPair], config: CvConfig, mode: str,
                    dictionary: BilingualDictionary | None = None) -> CvReport:
-    """Run the k-fold experiment for one mode and one classifier."""
+    """Run the k-fold experiment for one mode and one classifier.
+
+    The folds run in up to min(k, CPUs) forked workers (`_map_folds`), and
+    the report is the same as from one process."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
     if mode == "train-src/test-w2w" and dictionary is None:
@@ -201,47 +278,8 @@ def cross_validate(data: list[LabeledPair], config: CvConfig, mode: str,
             raise InputError(f"fold {fold_idx} has no dev rows; "
                              "add rows or raise the dev ratio")
 
-    def train_text(row: LabeledPair) -> str:
-        return row.tgt_text if mode == "train-tgt/test-tgt" else row.src_text
-
-    def test_text(row: LabeledPair) -> str:
-        if mode == "train-src/test-w2w":
-            return translate_tokens(dictionary, tokenize(row.tgt_text)).text
-        return row.tgt_text
-
-    fold_results = []
-    for fold_idx, assignment in enumerate(folds):
-        train_rows = [data[i] for i in assignment.train]
-        dev_rows = [data[i] for i in assignment.dev]
-        test_rows = [data[i] for i in assignment.test]
-
-        bpe = bpe_train([train_text(r) for r in train_rows], vocab_size=config.bpe_vocab_size)
-        train_data = [(featurize(bpe, train_text(r)), r.label) for r in train_rows]
-        dev_features = [featurize(bpe, train_text(r)) for r in dev_rows]
-        dev_labels = [r.label for r in dev_rows]
-        test_features = [featurize(bpe, test_text(r)) for r in test_rows]
-        test_labels = [r.label for r in test_rows]
-
-        # the first best dev F1 wins, so a tie goes to the smaller value
-        best = None
-        trace = []
-        for params, model, predict in _grid(train_data, config):
-            dev_f1 = f1_score([predict(model, fv) for fv in dev_features], dev_labels)
-            trace.append({"params": params, "dev_f1": dev_f1})
-            if best is None or dev_f1 > best[0]:
-                best = (dev_f1, params, model, predict)
-        dev_f1, chosen, model, predict = best
-
-        predictions = [predict(model, fv) for fv in test_features]
-        fold_results.append(FoldResult(
-            fold=fold_idx,
-            chosen=chosen,
-            dev_f1=dev_f1,
-            f1_positive=f1_score(predictions, test_labels),
-            f1_macro=macro_f1(predictions, test_labels),
-            sizes={"train": len(train_rows), "dev": len(dev_rows), "test": len(test_rows)},
-            grid_trace=trace,
-        ))
+    run_fold = partial(_run_fold, data, config, mode, dictionary)
+    fold_results = _map_folds(run_fold, list(enumerate(folds)))
 
     mean_pos = sum_in_order(f.f1_positive for f in fold_results) / len(fold_results)
     mean_macro = sum_in_order(f.f1_macro for f in fold_results) / len(fold_results)

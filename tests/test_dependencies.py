@@ -70,8 +70,12 @@ def test_numpy_loads_only_for_logistic_regression(tmp_path):
     data = tmp_path / "data.tsv"
     data.write_text("\n".join(lines) + "\n", encoding="utf-8")
     script = textwrap.dedent(f"""
+        import os
         import sys
         import lexmine.cli
+
+        # one CPU: the folds run in this process, so their imports land here
+        os.sched_getaffinity = lambda pid: {{0}}
 
         def sent_cv(algorithm):
             code = lexmine.cli.run(["sent", "cv", "--data", {str(data)!r},

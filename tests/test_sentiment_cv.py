@@ -3,16 +3,23 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import lexmine
+from lexmine import cli
 from lexmine.dictionary import parse_dictionary
 from lexmine.errors import ConfigError, InputError, ParseError
 from lexmine.sentiment import models
 from lexmine.sentiment.cv import (
+    MODES,
     CvConfig,
     FoldAssignment,
     LabeledPair,
@@ -24,6 +31,7 @@ from lexmine.sentiment.cv import (
 POS_WORDS = ["bagus", "senang", "hebat", "indah"]
 NEG_WORDS = ["buruk", "sedih", "parah", "jelek"]
 FILLER = ["hari", "ini", "film", "cerita", "orang", "kota"]
+SOURCE = Path(lexmine.__file__).resolve().parent.parent
 
 # numpy reports overflow and invalid values as RuntimeWarnings; the trainer
 # must keep them to itself
@@ -40,6 +48,19 @@ def keyword_corpus(n_per_class: int, signal=None) -> list[LabeledPair]:
         rows.append(LabeledPair("positive", pos, pos))
         rows.append(LabeledPair("negative", neg, neg))
     return rows
+
+
+# the zero-shot side spells its signal words differently; only the
+# dictionary route can map them back to the training vocabulary
+TGT_POS = ["rancak", "sanang", "hebaik", "rincah"]
+TGT_NEG = ["buruak", "sadiah", "parih", "jeleak"]
+TRANSLATION_DICT = [f"{t}\t{s}" for t, s in zip(TGT_POS + TGT_NEG, POS_WORDS + NEG_WORDS)]
+
+
+def translation_corpus() -> list[LabeledPair]:
+    tgt_rows = keyword_corpus(30, signal=(TGT_POS, TGT_NEG))
+    return [LabeledPair(src.label, src.src_text, tgt.tgt_text)
+            for src, tgt in zip(keyword_corpus(30), tgt_rows)]
 
 
 class TestLoadLabeledTsv:
@@ -348,18 +369,8 @@ class TestCrossValidate:
         assert report.mean_f1_positive == report.mean_f1_macro == 0.9666666666666668
 
     def test_translation_mode_recovers_signal(self):
-        # the zero-shot side spells its signal words differently; only the
-        # dictionary route can map them back to the training vocabulary
-        tgt_pos = ["rancak", "sanang", "hebaik", "rincah"]
-        tgt_neg = ["buruak", "sadiah", "parih", "jeleak"]
-        rows = []
-        src_rows = keyword_corpus(30)
-        tgt_rows = keyword_corpus(30, signal=(tgt_pos, tgt_neg))
-        for src, tgt in zip(src_rows, tgt_rows):
-            rows.append(LabeledPair(src.label, src.src_text, tgt.tgt_text))
-        mapping = dict(zip(tgt_pos, POS_WORDS)) | dict(zip(tgt_neg, NEG_WORDS))
-        dictionary = parse_dictionary([f"{s}\t{t}" for s, t in mapping.items()],
-                                      direction=("tgt", "src"))
+        rows = translation_corpus()
+        dictionary = parse_dictionary(TRANSLATION_DICT, direction=("tgt", "src"))
 
         translated = cross_validate(rows, self.config(), "train-src/test-w2w",
                                     dictionary=dictionary)
@@ -384,3 +395,130 @@ class TestCrossValidate:
     def test_w2w_mode_requires_dictionary(self):
         with pytest.raises(ConfigError):
             cross_validate(keyword_corpus(10), self.config(), "train-src/test-w2w")
+
+
+# Runs `lexmine.cli.run(argv)` in a fresh interpreter that sees CPUS CPUs
+# (one thread more with THREAD 1), then writes to PROBE how many processes
+# it forked, whether a child process is left, alive or unreaped, and whether
+# it imported numpy itself.
+PROBE_SCRIPT = """
+import json, os, sys, threading
+
+probe, cpus, thread, *argv = sys.argv[1:]
+os.sched_getaffinity = lambda pid: set(range(int(cpus)))
+forks = []
+os.register_at_fork(after_in_parent=lambda: forks.append(1))
+if thread == "1":
+    threading.Thread(target=threading.Event().wait, daemon=True).start()
+
+import lexmine.cli
+
+code = lexmine.cli.run(argv)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    children_left = True
+except ChildProcessError:
+    children_left = False
+with open(probe, "w", encoding="utf-8") as handle:
+    json.dump({"forks": len(forks), "children_left": children_left,
+               "numpy": "numpy" in sys.modules}, handle)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="fold workers are forked on Linux only")
+class TestForkedFolds:
+    """`sent cv` with its folds in forked workers, each run in a fresh
+    interpreter: pytest's own process may hold threads, and then the folds
+    never leave it. The interpreter is told it has 2 or more CPUs, so the
+    workers run on a one-CPU host too. It runs under `-X dev`, which prints
+    every warning, and each test compares or pins stderr. `-W error` would
+    hide one: Python 3.12+ drops its fork-with-threads warning when the
+    warning is an error."""
+
+    def corpus(self, tmp_path) -> list[str]:
+        data, dictionary = tmp_path / "data.tsv", tmp_path / "dict.tsv"
+        data.write_text("".join(f"{row.label}\t{row.src_text}\t{row.tgt_text}\n"
+                                for row in translation_corpus()), encoding="utf-8")
+        dictionary.write_text("".join(line + "\n" for line in TRANSLATION_DICT),
+                              encoding="utf-8")
+        return ["sent", "cv", "--data", str(data), "--dict", str(dictionary),
+                "--vocab-size", "120", "--out", "report.json"]
+
+    def fresh(self, tmp_path, argv, cpus=2, thread=False):
+        """(exit code, stdout, stderr, outputs, probe) of `argv` run in a
+        fresh interpreter, in its own directory under `tmp_path`."""
+        run_dir = tmp_path / "fresh"
+        run_dir.mkdir()
+        script = tmp_path / "probe.py"
+        script.write_text(PROBE_SCRIPT, encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SOURCE), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", str(script), "probe.json",
+             str(cpus), "1" if thread else "0", *argv],
+            cwd=run_dir, env=env, capture_output=True, text=True, timeout=120)
+        probe = json.loads((run_dir / "probe.json").read_text(encoding="utf-8"))
+        outputs = {path.name: path.read_bytes() for path in sorted(run_dir.iterdir())
+                   if path.name.startswith("report.json")
+                   and not path.name.endswith(".timing.json")}
+        return done.returncode, done.stdout, done.stderr, outputs, probe
+
+    def here(self, tmp_path, argv, monkeypatch, capsys):
+        """The same as `fresh`, less the probe, run in this process."""
+        run_dir = tmp_path / "here"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        code = cli.run(argv)
+        out, err = capsys.readouterr()
+        outputs = {path.name: path.read_bytes() for path in sorted(run_dir.iterdir())
+                   if not path.name.endswith(".timing.json")}
+        return code, out, err, outputs
+
+    @pytest.mark.parametrize("algorithm", ["nb", "lr"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_same_bytes_as_one_process(self, tmp_path, monkeypatch, capsys, mode, algorithm):
+        argv = self.corpus(tmp_path) + ["--mode", mode, "--algorithm", algorithm]
+        *pooled, probe = self.fresh(tmp_path, argv)
+        assert probe == {"forks": 2, "children_left": False, "numpy": False}
+        assert pooled == list(self.here(tmp_path, argv, monkeypatch, capsys))
+        assert pooled[0] == 0 and sorted(pooled[3]) == ["report.json",
+                                                        "report.json.manifest.json"]
+
+    @pytest.mark.parametrize("cpus, folds, forks", [(1, 5, 0), (2, 5, 2), (8, 4, 4)])
+    def test_one_worker_per_cpu_up_to_the_fold_count(self, tmp_path, cpus, folds, forks):
+        share = 1 / folds
+        argv = self.corpus(tmp_path) + [
+            "--mode", "train-tgt/test-tgt", "--folds", str(folds),
+            "--ratios", f"{0.9 - share},0.1,{share}"]
+        code, _, err, _, probe = self.fresh(tmp_path, argv, cpus=cpus)
+        assert code == 0, err
+        assert probe["forks"] == forks and not probe["children_left"]
+
+    def test_fold_error_is_one_line_and_reaps_workers(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "huge.cfg").write_text("lr_learning_rate=1e300\n", encoding="utf-8")
+        argv = self.corpus(tmp_path) + ["--mode", "train-src/test-w2w", "--algorithm", "lr",
+                                        "--config", str(tmp_path / "huge.cfg")]
+        *pooled, probe = self.fresh(tmp_path, argv)
+        assert probe["forks"] == 2 and not probe["children_left"]
+        assert pooled == list(self.here(tmp_path, argv, monkeypatch, capsys))
+        code, out, err, _ = pooled
+        assert (code, out, err) == (1, "", "lexmine: non-finite loss at epoch 1\n")
+
+    def test_no_fork_from_a_threaded_process(self, tmp_path, monkeypatch, capsys):
+        # Python 3.12+ warns when a process with threads forks
+        argv = self.corpus(tmp_path) + ["--mode", "train-src/test-w2w"]
+        *pooled, probe = self.fresh(tmp_path, argv, thread=True)
+        assert probe["forks"] == 0
+        assert pooled == list(self.here(tmp_path, argv, monkeypatch, capsys))
+        assert pooled[0] == 0
+
+    def test_import_leaves_multiprocessing_unloaded(self):
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, lexmine.cli; "
+                                   "print(sorted(m for m in sys.modules "
+                                   "if m.split('.')[0] == 'multiprocessing'))"],
+            env=dict(os.environ, PYTHONPATH=str(SOURCE)), capture_output=True, text=True,
+            timeout=60)
+        assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
